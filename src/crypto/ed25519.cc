@@ -1,6 +1,6 @@
 #include "src/crypto/ed25519.h"
 
-#include <array>
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -492,15 +492,6 @@ Point SubPrecomp(const Point& p, const PrecompPoint& q) {
   return r;
 }
 
-Point PointNeg(const Point& p) {
-  Point r;
-  r.x = FeNeg(p.x);
-  r.y = p.y;
-  r.z = p.z;
-  r.t = FeNeg(p.t);
-  return r;
-}
-
 // scalar given as 32 little-endian bytes; plain double-and-add. This is the
 // naive reference ladder, kept as the cross-checking oracle for the
 // precomputed fast path. NOT constant-time: it branches on scalar bits, so
@@ -835,19 +826,53 @@ PrecompPoint ToPrecompAffine(const Point& p) {
   return r;
 }
 
+// Width-5 odd multiples {1, 3, ..., 15} of a point P and of 2^128 P, in
+// affine form. A reduced scalar (below L < 2^253) splits into two 128-bit
+// halves over these, so multiplying by it costs a 128-step doubling chain.
+// Every verification uses the table of B; prepared keys carry one for A.
+struct SplitTable {
+  PrecompPoint lo[8];  // (2j+1) P
+  PrecompPoint hi[8];  // (2j+1) 2^128 P
+};
+
+SplitTable BuildSplitTable(const Point& p) {
+  std::vector<Point> pts;
+  pts.reserve(16);
+  Point q = p;
+  for (int half = 0; half < 2; ++half) {
+    const Point q2 = PointDouble(q);
+    Point m = q;
+    for (int j = 0; j < 8; ++j) {
+      pts.push_back(m);
+      if (j < 7) {
+        m = PointAdd(m, q2);
+      }
+    }
+    for (int i = 0; half == 0 && i < 128; ++i) {
+      q = PointDouble(q);
+    }
+  }
+  BatchNormalize(pts);
+  SplitTable t;
+  for (int j = 0; j < 8; ++j) {
+    t.lo[j] = ToPrecompAffine(pts[j]);
+    t.hi[j] = ToPrecompAffine(pts[8 + j]);
+  }
+  return t;
+}
+
 struct BaseTables {
   // table[i][j] = (j+1) * 16^(2i) * B, for the signed-radix-16 fixed-base
   // multiplication used by signing and key derivation.
   PrecompPoint table[32][8];
-  // odd[j] = (2j+1) * B, for the sliding-window base-point half of the
-  // Straus double-scalar multiplication used by verification.
-  PrecompPoint odd[8];
+  // The base-point term of every verification.
+  SplitTable split;
 };
 
 const BaseTables& GetBaseTables() {
   static const BaseTables t = [] {
     std::vector<Point> pts;
-    pts.reserve(32 * 8 + 8);
+    pts.reserve(32 * 8);
     Point row = BasePoint();  // 16^(2i) * B
     for (int i = 0; i < 32; ++i) {
       Point m = row;
@@ -859,12 +884,6 @@ const BaseTables& GetBaseTables() {
         row = PointDouble(row);  // advance by 16^2 = 2^8
       }
     }
-    Point b2 = PointDouble(BasePoint());
-    Point o = BasePoint();
-    for (int j = 0; j < 8; ++j) {
-      pts.push_back(o);
-      o = PointAdd(o, b2);
-    }
     BatchNormalize(pts);
     BaseTables bt;
     size_t idx = 0;
@@ -873,9 +892,7 @@ const BaseTables& GetBaseTables() {
         bt.table[i][j] = ToPrecompAffine(pts[idx++]);
       }
     }
-    for (int j = 0; j < 8; ++j) {
-      bt.odd[j] = ToPrecompAffine(pts[idx++]);
-    }
+    bt.split = BuildSplitTable(BasePoint());
     return bt;
   }();
   return t;
@@ -897,19 +914,6 @@ void SignedRadix16(int8_t e[64] /* sdrlint:secret */,
     e[i] = (int8_t)(e[i] - (carry << 4));
   }
   e[63] = (int8_t)(e[63] + carry);
-}
-
-// Variable-time digit addition: branches on the digit and indexes the table
-// with it. Only ever fed *public* scalars (the batch-verification
-// combination scalar); secret scalars go through SelectBaseDigit below.
-Point AddBaseDigit(const Point& h, const PrecompPoint row[8], int8_t digit) {
-  if (digit > 0) {
-    return AddPrecomp(h, row[digit - 1]);
-  }
-  if (digit < 0) {
-    return SubPrecomp(h, row[-digit - 1]);
-  }
-  return h;
 }
 
 // ---- Constant-time table selection ----------------------------------------
@@ -985,55 +989,43 @@ Point ScalarMulBaseCt(const uint8_t a[32] /* sdrlint:secret */) {
   return h;
 }
 
-// Variable-time fixed-base multiplication (zero digits skipped, direct
-// table indexing) for public scalars: the batch-verification combination
-// scalar, never a signing secret.
-Point ScalarMulBaseVartime(const uint8_t a[32]) {
-  const BaseTables& bt = GetBaseTables();
-  int8_t e[64];
-  SignedRadix16(e, a);
-  Point h = PointIdentity();
-  for (int i = 1; i < 64; i += 2) {
-    h = AddBaseDigit(h, bt.table[i / 2], e[i]);
-  }
-  h = PointDouble(PointDouble(PointDouble(PointDouble(h))));
-  for (int i = 0; i < 64; i += 2) {
-    h = AddBaseDigit(h, bt.table[i / 2], e[i]);
-  }
-  return h;
-}
+// One nonzero digit of a width-5 non-adjacent form: value digit * 2^pos.
+struct NafDigit {
+  int pos;
+  int digit;
+};
 
-// Width-5 sliding-window recoding: odd digits in [-15, 15], at most one
-// nonzero digit per 5 consecutive positions.
-void Slide(int8_t r[256], const uint8_t a[32]) {
-  for (int i = 0; i < 256; ++i) {
-    r[i] = (int8_t)(1 & (a[i >> 3] >> (i & 7)));
+// Any five consecutive positions hold at most one nonzero digit, so the
+// 256 positions hold at most ceil(256 / 5).
+constexpr int kMaxNafDigits = 52;
+
+// Width-5 non-adjacent form of a scalar below 2^255, read off the bits
+// directly with a running carry: writes the nonzero digits (odd, in
+// [-15, 15]) in ascending position and returns how many there are.
+int Naf5(NafDigit out[kMaxNafDigits], const uint8_t scalar[32]) {
+  uint64_t x[5] = {0, 0, 0, 0, 0};
+  for (int i = 0; i < 32; ++i) {
+    x[i / 8] |= (uint64_t)scalar[i] << (8 * (i % 8));
   }
-  for (int i = 0; i < 256; ++i) {
-    if (!r[i]) {
+  int n = 0;
+  uint64_t carry = 0;
+  for (int pos = 0; pos < 256;) {
+    const int word = pos / 64;
+    const int bit = pos % 64;
+    uint64_t bits = x[word] >> bit;
+    if (bit > 59) {
+      bits |= x[word + 1] << (64 - bit);
+    }
+    const uint64_t window = carry + (bits & 31);
+    if ((window & 1) == 0) {
+      ++pos;  // digit 0 here; a pending carry (bit 1 + carry 1) moves up
       continue;
     }
-    for (int b = 1; b <= 6 && i + b < 256; ++b) {
-      if (!r[i + b]) {
-        continue;
-      }
-      if (r[i] + (r[i + b] << b) <= 15) {
-        r[i] = (int8_t)(r[i] + (r[i + b] << b));
-        r[i + b] = 0;
-      } else if (r[i] - (r[i + b] << b) >= -15) {
-        r[i] = (int8_t)(r[i] - (r[i + b] << b));
-        for (int k = i + b; k < 256; ++k) {
-          if (!r[k]) {
-            r[k] = 1;
-            break;
-          }
-          r[k] = 0;
-        }
-      } else {
-        break;
-      }
-    }
+    carry = window >> 4;
+    out[n++] = {pos, (int)window - (int)(carry << 5)};
+    pos += 5;
   }
+  return n;
 }
 
 // Builds the odd multiples {1,3,...,15} * p in cached form.
@@ -1048,89 +1040,110 @@ void OddMultiples(CachedPoint out[8], const Point& p) {
   }
 }
 
-// a * A + b * B with one interleaved Straus/Shamir loop: 256 shared
-// doublings instead of two independent ladders.
-Point DoubleScalarMulBaseVartime(const uint8_t a[32], const Point& big_a,
-                                 const uint8_t b[32]) {
-  int8_t aslide[256], bslide[256];
-  Slide(aslide, a);
-  Slide(bslide, b);
-  CachedPoint ai[8];
-  OddMultiples(ai, big_a);
-  const BaseTables& bt = GetBaseTables();
+// One term of a verification multi-scalar multiplication: NAF digits
+// (subtracted when `negate`), each adding at chain position pos - shift,
+// against the odd multiples {1, 3, ..., 15} of one point, held affine or
+// cached.
+struct StrausTerm {
+  const NafDigit* digits;
+  int count;
+  int shift;
+  bool negate;
+  const PrecompPoint* affine;  // exactly one of affine/cached is set
+  const CachedPoint* cached;
+};
 
-  int i = 255;
-  while (i >= 0 && aslide[i] == 0 && bslide[i] == 0) {
-    --i;
+// Appends the terms of (+/-)scalar * P given the scalar's NAF digits: over
+// P's split tables when it has them, the digits below position 128 against
+// P and the rest against 2^128 P; otherwise all of them against P's cached
+// odd multiples.
+void AppendTerms(std::vector<StrausTerm>& terms, const NafDigit* digits,
+                 int count, bool negate, const SplitTable* split,
+                 const CachedPoint* cached) {
+  if (split == nullptr) {
+    terms.push_back({digits, count, 0, negate, nullptr, cached});
+    return;
   }
+  int lo = 0;
+  while (lo < count && digits[lo].pos < 128) {
+    ++lo;
+  }
+  terms.push_back({digits, lo, 0, negate, split->lo, nullptr});
+  terms.push_back({digits + lo, count - lo, 128, negate, split->hi, nullptr});
+}
+
+// sum of every term, interleaved over one shared doubling chain as long as
+// the longest digit string (Straus). The one multi-scalar multiplication
+// behind every verification, single and batched.
+Point StrausMulVartime(const std::vector<StrausTerm>& terms) {
+  // Bucket the digits by chain position (a counting sort):
+  // additions at position i are adds[start[i], start[i+1]).
+  int start[257] = {0};
+  int top = -1;
+  for (const StrausTerm& term : terms) {
+    for (int k = 0; k < term.count; ++k) {
+      const int i = term.digits[k].pos - term.shift;
+      ++start[i + 1];
+      top = std::max(top, i);
+    }
+  }
+  for (int i = 0; i < 256; ++i) {
+    start[i + 1] += start[i];
+  }
+  struct Addition {
+    const StrausTerm* term;
+    int digit;
+  };
+  std::vector<Addition> adds(static_cast<size_t>(start[256]));
+  int next[256];
+  std::memcpy(next, start, sizeof(next));
+  for (const StrausTerm& term : terms) {
+    for (int k = 0; k < term.count; ++k) {
+      const NafDigit& d = term.digits[k];
+      adds[next[d.pos - term.shift]++] = {&term,
+                                          term.negate ? -d.digit : d.digit};
+    }
+  }
+  // Only an addition reads r.t, so positions without one take the cheaper
+  // T-less doubling. The final r feeds a projective comparison, never an
+  // addition.
   Point r = PointIdentity();
-  for (; i >= 0; --i) {
-    // Only an addition reads r.t, so add-free positions take the cheaper
-    // doubling. The final r feeds a projective compare, never an addition.
-    if (aslide[i] == 0 && bslide[i] == 0) {
+  for (int i = top; i >= 0; --i) {
+    if (start[i] == start[i + 1]) {
       r = PointDoubleP2(r);
       continue;
     }
     r = PointDouble(r);
-    if (aslide[i] > 0) {
-      r = AddCached(r, ai[aslide[i] / 2]);
-    } else if (aslide[i] < 0) {
-      r = SubCached(r, ai[(-aslide[i]) / 2]);
-    }
-    if (bslide[i] > 0) {
-      r = AddPrecomp(r, bt.odd[bslide[i] / 2]);
-    } else if (bslide[i] < 0) {
-      r = SubPrecomp(r, bt.odd[(-bslide[i]) / 2]);
+    for (int a = start[i]; a < start[i + 1]; ++a) {
+      const StrausTerm& term = *adds[a].term;
+      const int d = adds[a].digit;
+      if (term.affine != nullptr) {
+        r = d > 0 ? AddPrecomp(r, term.affine[d / 2])
+                  : SubPrecomp(r, term.affine[-d / 2]);
+      } else {
+        r = d > 0 ? AddCached(r, term.cached[d / 2])
+                  : SubCached(r, term.cached[-d / 2]);
+      }
     }
   }
   return r;
 }
 
-// One term of a multi-scalar multiplication.
-struct MsmTerm {
-  uint8_t scalar[32];
-  const Point* point;
-};
-
-// sum_i scalar_i * point_i, interleaving all terms over one shared doubling
-// chain. Used by batch verification, where the per-term table build and
-// ~43 window additions amortize far below a full double-scalar
-// multiplication per signature.
-Point MultiScalarMulVartime(const std::vector<MsmTerm>& terms) {
-  const size_t n = terms.size();
-  std::vector<std::array<int8_t, 256>> slides(n);
-  std::vector<std::array<CachedPoint, 8>> tables(n);
-  for (size_t t = 0; t < n; ++t) {
-    Slide(slides[t].data(), terms[t].scalar);
-    OddMultiples(tables[t].data(), *terms[t].point);
-  }
-  int i = 255;
-  for (; i >= 0; --i) {
-    bool any = false;
-    for (size_t t = 0; t < n && !any; ++t) {
-      any = slides[t][i] != 0;
-    }
-    if (any) {
-      break;
-    }
-  }
-  Point r = PointIdentity();
-  for (; i >= 0; --i) {
-    bool any = false;
-    for (size_t t = 0; t < n && !any; ++t) {
-      any = slides[t][i] != 0;
-    }
-    r = any ? PointDouble(r) : PointDoubleP2(r);
-    for (size_t t = 0; t < n; ++t) {
-      int8_t d = slides[t][i];
-      if (d > 0) {
-        r = AddCached(r, tables[t][d / 2]);
-      } else if (d < 0) {
-        r = SubCached(r, tables[t][(-d) / 2]);
-      }
-    }
-  }
-  return r;
+// [S]B - [k]A == R for a key given by its split tables (prepared) or its
+// cached odd multiples (unprepared). Comparing against the decompressed R
+// as a point (not the raw bytes) keeps the naive path's acceptance of
+// non-canonical R encodings.
+bool SingleEquationHolds(const uint8_t s[32], const uint8_t k[32],
+                         const SplitTable* a_split, const CachedPoint* a_cached,
+                         const Point& r_point) {
+  NafDigit s_naf[kMaxNafDigits], k_naf[kMaxNafDigits];
+  const int s_count = Naf5(s_naf, s);
+  const int k_count = Naf5(k_naf, k);
+  std::vector<StrausTerm> terms;
+  terms.reserve(4);
+  AppendTerms(terms, s_naf, s_count, false, &GetBaseTables().split, nullptr);
+  AppendTerms(terms, k_naf, k_count, true, a_split, a_cached);
+  return PointsEqual(StrausMulVartime(terms), r_point);
 }
 
 // ---------------------------------------------------------------------------
@@ -1295,28 +1308,35 @@ Bytes SignExpandedFast(const Ed25519ExpandedKey& key, const Bytes& message) {
   return sig;
 }
 
-bool VerifyFast(const Bytes& public_key, const Bytes& message,
-                const Bytes& signature) {
+// Fast-path single verification; `a_split` is the key's prepared tables,
+// or null to decompress the key and build its odd multiples here.
+bool StrausVerify(const Bytes& public_key, const SplitTable* a_split,
+                const Bytes& message, const Bytes& signature) {
   const uint8_t* r_enc = signature.data();
-  const uint8_t* s = signature.data() + 32;
-  Point a_point, r_point;
-  if (!PointDecompress(a_point, public_key.data()) ||
-      !PointDecompress(r_point, r_enc)) {
+  CachedPoint a_cached[8];
+  if (a_split == nullptr) {
+    Point a_point;
+    if (!PointDecompress(a_point, public_key.data())) {
+      return false;
+    }
+    OddMultiples(a_cached, a_point);
+  }
+  Point r_point;
+  if (!PointDecompress(r_point, r_enc)) {
     return false;
   }
-
   uint8_t k[32];
   ChallengeScalar(k, r_enc, public_key, message);
-
-  // Check [S]B - [k]A == R with one interleaved double-scalar loop.
-  // Comparing against the decompressed R as a point (not the raw bytes)
-  // keeps the naive path's acceptance of non-canonical R encodings.
-  Point neg_a = PointNeg(a_point);
-  Point p = DoubleScalarMulBaseVartime(k, neg_a, s);
-  return PointsEqual(p, r_point);
+  return SingleEquationHolds(signature.data() + 32, k, a_split, a_cached,
+                             r_point);
 }
 
 }  // namespace
+
+struct Ed25519PreparedKey {
+  Bytes public_key;
+  SplitTable table;
+};
 
 void Ed25519SetFastPath(bool enabled) {
   g_fast_path = enabled;
@@ -1392,54 +1412,75 @@ bool Ed25519Verify(const Bytes& public_key, const Bytes& message,
     return false;
   }
   if (g_fast_path) {
-    return VerifyFast(public_key, message, signature);
+    return StrausVerify(public_key, nullptr, message, signature);
   }
   return VerifyNaive(public_key, message, signature);
 }
 
+std::shared_ptr<const Ed25519PreparedKey> Ed25519PrepareKey(
+    const Bytes& public_key) {
+  Point a_point;
+  if (public_key.size() != kEd25519PublicKeySize ||
+      !PointDecompress(a_point, public_key.data())) {
+    return nullptr;
+  }
+  auto key = std::make_shared<Ed25519PreparedKey>();
+  key->public_key = public_key;
+  key->table = BuildSplitTable(a_point);
+  return key;
+}
+
+bool Ed25519VerifyPrepared(const Ed25519PreparedKey& key, const Bytes& message,
+                           const Bytes& signature) {
+  if (signature.size() != kEd25519SignatureSize ||
+      !ScIsCanonical(signature.data() + 32)) {
+    return false;
+  }
+  if (g_fast_path) {
+    return StrausVerify(key.public_key, &key.table, message, signature);
+  }
+  return VerifyNaive(key.public_key, message, signature);
+}
+
 namespace {
 
-// Per-item state for batch verification.
+// Per-item state for batch verification. Everything but the base-point
+// scalar is fixed per item, so the tables and digits are built once and
+// reused by every bisection step.
 struct BatchSlot {
-  bool pre_ok = false;  // sizes, canonical S, decodable A and R
-  Point a_point;
+  const SplitTable* a_split = nullptr;  // prepared A; else a_cached
+  CachedPoint a_cached[8];
   Point r_point;
+  CachedPoint r_cached[8];
   uint8_t k[32];
   uint8_t z[32];  // 128-bit random coefficient, zero-extended
   const uint8_t* s = nullptr;
+  NafDigit z_naf[kMaxNafDigits];  // z
+  int z_count = 0;
+  NafDigit zk_naf[kMaxNafDigits];  // z k mod L
+  int zk_count = 0;
 };
 
-// Checks sum_{i in idx} z_i (S_i B - R_i - k_i A_i) == identity, i.e.
-// [sum z_i S_i] B == sum z_i R_i + sum (z_i k_i) A_i.
+// Checks sum_{i in idx} z_i (S_i B - R_i - k_i A_i) == identity as one
+// Straus multiplication: [sum z_i S_i] B - sum z_i R_i - sum (z_i k_i) A_i.
 bool BatchEquationHolds(const std::vector<BatchSlot>& slots,
                         const std::vector<size_t>& idx) {
-  static const uint8_t kZero[32] = {0};
   uint8_t c[32] = {0};
-  std::vector<MsmTerm> terms;
-  terms.reserve(2 * idx.size());
-  std::vector<std::array<uint8_t, 32>> zk(idx.size());
-  for (size_t n = 0; n < idx.size(); ++n) {
-    const BatchSlot& slot = slots[idx[n]];
-    ScMulAdd(c, slot.z, slot.s, c);
-    ScMulAdd(zk[n].data(), slot.z, slot.k, kZero);
-    MsmTerm tr;
-    std::memcpy(tr.scalar, slot.z, 32);
-    tr.point = &slot.r_point;
-    terms.push_back(tr);
-    MsmTerm ta;
-    std::memcpy(ta.scalar, zk[n].data(), 32);
-    ta.point = &slot.a_point;
-    terms.push_back(ta);
+  for (size_t i : idx) {
+    ScMulAdd(c, slots[i].z, slots[i].s, c);
   }
-  Point lhs = ScalarMulBaseVartime(c);
-  Point rhs = MultiScalarMulVartime(terms);
-  return PointsEqual(lhs, rhs);
-}
-
-bool SingleVerifySlot(const BatchSlot& slot) {
-  Point neg_a = PointNeg(slot.a_point);
-  Point p = DoubleScalarMulBaseVartime(slot.k, neg_a, slot.s);
-  return PointsEqual(p, slot.r_point);
+  NafDigit c_naf[kMaxNafDigits];
+  const int c_count = Naf5(c_naf, c);
+  std::vector<StrausTerm> terms;
+  terms.reserve(2 + 3 * idx.size());
+  AppendTerms(terms, c_naf, c_count, false, &GetBaseTables().split, nullptr);
+  for (size_t i : idx) {
+    const BatchSlot& slot = slots[i];
+    AppendTerms(terms, slot.z_naf, slot.z_count, true, nullptr, slot.r_cached);
+    AppendTerms(terms, slot.zk_naf, slot.zk_count, true, slot.a_split,
+                slot.a_cached);
+  }
+  return PointsEqual(StrausMulVartime(terms), PointIdentity());
 }
 
 // Bisection: a failing combined equation is split until every culprit is
@@ -1450,7 +1491,9 @@ void ResolveBatch(const std::vector<BatchSlot>& slots,
     return;
   }
   if (idx.size() == 1) {
-    out[idx[0]] = SingleVerifySlot(slots[idx[0]]);
+    const BatchSlot& slot = slots[idx[0]];
+    out[idx[0]] = SingleEquationHolds(slot.s, slot.k, slot.a_split,
+                                      slot.a_cached, slot.r_point);
     return;
   }
   if (BatchEquationHolds(slots, idx)) {
@@ -1475,8 +1518,11 @@ std::vector<bool> Ed25519VerifyBatch(
   }
   if (!g_fast_path || n == 1) {
     for (size_t i = 0; i < n; ++i) {
-      out[i] = Ed25519Verify(items[i].public_key, items[i].message,
-                             items[i].signature);
+      const Ed25519BatchItem& it = items[i];
+      out[i] = it.prepared != nullptr
+                   ? Ed25519VerifyPrepared(*it.prepared, it.message,
+                                           it.signature)
+                   : Ed25519Verify(it.public_key, it.message, it.signature);
     }
     return out;
   }
@@ -1490,13 +1536,22 @@ std::vector<bool> Ed25519VerifyBatch(
     if (it.public_key.size() != kEd25519PublicKeySize ||
         it.signature.size() != kEd25519SignatureSize ||
         !ScIsCanonical(it.signature.data() + 32) ||
-        !PointDecompress(slot.a_point, it.public_key.data()) ||
         !PointDecompress(slot.r_point, it.signature.data())) {
       continue;  // out[i] stays false
     }
+    if (it.prepared != nullptr) {
+      assert(it.prepared->public_key == it.public_key);
+      slot.a_split = &it.prepared->table;
+    } else {
+      Point a_point;
+      if (!PointDecompress(a_point, it.public_key.data())) {
+        continue;
+      }
+      OddMultiples(slot.a_cached, a_point);
+    }
+    OddMultiples(slot.r_cached, slot.r_point);
     slot.s = it.signature.data() + 32;
     ChallengeScalar(slot.k, it.signature.data(), it.public_key, it.message);
-    slot.pre_ok = true;
     idx.push_back(i);
   }
   if (idx.empty()) {
@@ -1515,7 +1570,9 @@ std::vector<bool> Ed25519VerifyBatch(
     hs.Update(Sha512::Hash(items[i].message));
   }
   Bytes seed = hs.Final();
+  static const uint8_t kZero[32] = {0};
   for (size_t i : idx) {
+    BatchSlot& slot = slots[i];
     Sha512 hz;
     hz.Update(seed);
     uint8_t le[8];
@@ -1524,9 +1581,13 @@ std::vector<bool> Ed25519VerifyBatch(
     }
     hz.Update(le, 8);
     Bytes z = hz.Final();
-    std::memset(slots[i].z, 0, 32);
-    std::memcpy(slots[i].z, z.data(), 16);
-    slots[i].z[0] |= 1;  // never zero
+    std::memset(slot.z, 0, 32);
+    std::memcpy(slot.z, z.data(), 16);
+    slot.z[0] |= 1;  // never zero
+    uint8_t zk[32];
+    ScMulAdd(zk, slot.z, slot.k, kZero);
+    slot.z_count = Naf5(slot.z_naf, slot.z);
+    slot.zk_count = Naf5(slot.zk_naf, zk);
   }
 
   ResolveBatch(slots, idx, out);

@@ -10,11 +10,22 @@
 //
 // Two code paths produce bit-identical signatures and verdicts:
 //   - the *fast path* (default): a precomputed signed-radix-16 fixed-base
-//     table for signing/key derivation, Straus/Shamir interleaved
-//     double-scalar multiplication for verification, and a random-linear-
-//     combination batch verifier with bisection fallback;
+//     table for signing/key derivation, and one Straus multi-scalar
+//     multiplication for every verification, single or batched (a
+//     random-linear-combination batch verifier with bisection fallback);
 //   - the *naive path*: the original clarity-first double-and-add ladders,
 //     kept as a cross-checking oracle behind Ed25519SetFastPath(false).
+//
+// Verification splits every scalar into two 128-bit halves wherever the
+// point's tables allow it. The base point B always has width-5 odd-multiple
+// tables of B and of 2^128 B, so its 253-bit scalar costs a 128-step chain.
+// A long-lived signer key can be *prepared* (Ed25519PrepareKey) into the
+// same pair of tables for its point A; a verification whose keys are all
+// prepared then runs about 129 shared doublings instead of 253. An
+// unprepared key contributes one full-length term over odd multiples built
+// per call, and costs what a plain verification always cost. The compared
+// group elements are the same either way, so verdicts never depend on
+// whether a key was prepared.
 //
 // Curve constants (d, sqrt(-1), the base point) are derived numerically at
 // first use instead of being transcribed, and validated by the RFC 8032
@@ -26,13 +37,15 @@
 // the secret, enforced two ways: statically by sdrlint rule R5 over the
 // `sdrlint:secret` annotations in the sources, and dynamically by the
 // MemorySanitizer taint harness `tools/ct_check` (see docs/ANALYSIS.md).
-// The *naive* reference ladders remain variable-time by design and must
-// only see secrets in offline cross-checking, never on a host exposed to
-// timing adversaries.
+// Verification handles public data only and is variable-time. The *naive*
+// reference ladders remain variable-time by design and must only see
+// secrets in offline cross-checking, never on a host exposed to timing
+// adversaries.
 #ifndef SDR_SRC_CRYPTO_ED25519_H_
 #define SDR_SRC_CRYPTO_ED25519_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "src/util/bytes.h"
@@ -69,18 +82,44 @@ struct Ed25519ExpandedKey {
 Ed25519ExpandedKey Ed25519ExpandKey(const Bytes& seed);
 Bytes Ed25519SignExpanded(const Ed25519ExpandedKey& key, const Bytes& message);
 
+// A public key prepared for repeated verification: its point A, decompressed
+// once, as affine width-5 odd-multiple tables of A and of 2^128 A (about
+// 2 KB). Building one costs about one verification, and each verification
+// against it then skips decompressing A and runs the half-length chain.
+// Immutable once built, so any number of threads may verify against one
+// concurrently.
+struct Ed25519PreparedKey;
+
+// Prepares `public_key`; nullptr when it is not 32 bytes or does not decode
+// to a curve point (every signature under such a key is rejected anyway).
+std::shared_ptr<const Ed25519PreparedKey> Ed25519PrepareKey(
+    const Bytes& public_key);
+
+// Always equals Ed25519Verify on the public key `key` was prepared from.
+bool Ed25519VerifyPrepared(const Ed25519PreparedKey& key, const Bytes& message,
+                           const Bytes& signature);
+
 // One (public key, message, signature) triple for batch verification.
+// `prepared`, when set, must be the prepared form of `public_key`; the
+// caller keeps it alive for the duration of the call.
 struct Ed25519BatchItem {
   Bytes public_key;
   Bytes message;
   Bytes signature;
+  const Ed25519PreparedKey* prepared = nullptr;
 };
 
 // Verifies many signatures at once with a random-linear-combination check:
 // sum_i z_i * (S_i B - R_i - k_i A_i) == identity for random 128-bit z_i,
-// sharing one interleaved multi-scalar multiplication across the batch.
+// sharing one Straus multi-scalar multiplication across the batch (about
+// 129 doublings when every key is prepared, 253 otherwise).
 // When the combined equation fails, the batch is bisected until every
-// culprit is identified, so out[i] always equals Ed25519Verify(item i).
+// culprit is identified, so out[i] equals Ed25519Verify(item i) — except
+// for items whose R or A has a small-order (torsion) component, which
+// honest signers never produce. For those the combination is not exact:
+// z_i k_i is reduced mod L, which changes the multiple of A's torsion
+// component, and small-order defects of different items can cancel. Such
+// an item can be accepted where the cofactorless single check rejects it.
 // Amortized cost per signature is well below a single verification for
 // batches of ~4 or more.
 std::vector<bool> Ed25519VerifyBatch(const std::vector<Ed25519BatchItem>& items);

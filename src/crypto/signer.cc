@@ -74,23 +74,81 @@ bool SchemeSupportsBatchVerify(SignatureScheme scheme) {
   return scheme == SignatureScheme::kEd25519;
 }
 
-std::vector<bool> VerifySignatureBatch(SignatureScheme scheme,
-                                       const std::vector<VerifyItem>& items) {
+namespace {
+
+using PreparedKeyPtr = std::shared_ptr<const Ed25519PreparedKey>;
+
+// Verifies *items[lo, hi). For Ed25519, item i verifies against
+// prepared[i] when `prepared` is non-null and that entry is set.
+std::vector<bool> VerifyRange(SignatureScheme scheme,
+                              const std::vector<const VerifyItem*>& items,
+                              const PreparedKeyPtr* prepared, size_t lo,
+                              size_t hi) {
   if (scheme == SignatureScheme::kEd25519) {
-    std::vector<Ed25519BatchItem> batch(items.size());
-    for (size_t i = 0; i < items.size(); ++i) {
-      batch[i].public_key = items[i].public_key;
-      batch[i].message = items[i].message;
-      batch[i].signature = items[i].signature;
+    std::vector<Ed25519BatchItem> batch(hi - lo);
+    for (size_t i = lo; i < hi; ++i) {
+      Ed25519BatchItem& b = batch[i - lo];
+      b.public_key = items[i]->public_key;
+      b.message = items[i]->message;
+      b.signature = items[i]->signature;
+      b.prepared = prepared != nullptr ? prepared[i].get() : nullptr;
     }
     return Ed25519VerifyBatch(batch);
   }
-  std::vector<bool> out(items.size());
-  for (size_t i = 0; i < items.size(); ++i) {
-    out[i] = VerifySignature(scheme, items[i].public_key, items[i].message,
-                             items[i].signature);
+  std::vector<bool> out(hi - lo);
+  for (size_t i = lo; i < hi; ++i) {
+    out[i - lo] = VerifySignature(scheme, items[i]->public_key,
+                                  items[i]->message, items[i]->signature);
   }
   return out;
+}
+
+}  // namespace
+
+std::vector<bool> VerifySignatureBatch(SignatureScheme scheme,
+                                       const std::vector<VerifyItem>& items) {
+  std::vector<const VerifyItem*> ptrs(items.size());
+  for (size_t i = 0; i < items.size(); ++i) {
+    ptrs[i] = &items[i];
+  }
+  return VerifyRange(scheme, ptrs, nullptr, 0, ptrs.size());
+}
+
+size_t VerifyCache::prepared_keys() const {
+  size_t n = 0;
+  for (const KeyEntry& entry : key_lru_) {
+    n += entry.prepared != nullptr ? 1 : 0;
+  }
+  return n;
+}
+
+std::shared_ptr<const Ed25519PreparedKey> VerifyCache::PreparedFor(
+    SignatureScheme scheme, const Bytes& public_key) {
+  if (scheme != SignatureScheme::kEd25519 ||
+      public_key.size() != kEd25519PublicKeySize) {
+    return nullptr;
+  }
+  PublicKey pk;
+  std::copy(public_key.begin(), public_key.end(), pk.begin());
+  auto it = key_index_.find(pk);
+  if (it == key_index_.end()) {
+    if (key_lru_.size() >= kPreparedKeyCapacity) {
+      key_index_.erase(key_lru_.back().public_key);
+      key_lru_.pop_back();
+    }
+    key_lru_.push_front(KeyEntry{pk, false, nullptr});
+    key_index_[pk] = key_lru_.begin();
+    return nullptr;
+  }
+  key_lru_.splice(key_lru_.begin(), key_lru_, it->second);
+  KeyEntry& entry = *it->second;
+  if (!entry.seen_twice) {
+    // The second verification is the break-even point: preparing costs
+    // about one verification and halves every later one.
+    entry.seen_twice = true;
+    entry.prepared = Ed25519PrepareKey(public_key);
+  }
+  return entry.prepared;
 }
 
 VerifyCache::Key VerifyCache::MakeKey(SignatureScheme scheme,
@@ -156,7 +214,10 @@ bool VerifyCache::Verify(SignatureScheme scheme, const Bytes& public_key,
   if (const bool* cached = Lookup(key)) {
     return *cached;
   }
-  bool verdict = VerifySignature(scheme, public_key, message, signature);
+  PreparedKeyPtr prepared = PreparedFor(scheme, public_key);
+  bool verdict = prepared != nullptr
+                     ? Ed25519VerifyPrepared(*prepared, message, signature)
+                     : VerifySignature(scheme, public_key, message, signature);
   Insert(key, verdict);
   return verdict;
 }
@@ -186,7 +247,7 @@ std::vector<bool> VerifyCache::VerifyBatch(SignatureScheme scheme,
   std::unordered_map<Key, size_t> pending;
   std::vector<Key> slot_key;
   std::vector<size_t> miss_idx;
-  std::vector<VerifyItem> misses;
+  std::vector<const VerifyItem*> misses;
   for (size_t i = 0; i < items.size(); ++i) {
     auto dup = pending.find(keys[i]);
     if (dup != pending.end()) {
@@ -203,14 +264,21 @@ std::vector<bool> VerifyCache::VerifyBatch(SignatureScheme scheme,
     pending[keys[i]] = misses.size();
     slot_key.push_back(keys[i]);
     miss_idx.push_back(i);
-    misses.push_back(items[i]);
+    misses.push_back(&items[i]);
   }
   if (!misses.empty()) {
+    // Pinned until the call returns: lanes read these tables while a later
+    // PreparedFor may already have evicted their map entry.
+    std::vector<PreparedKeyPtr> prepared(misses.size());
+    for (size_t slot = 0; slot < misses.size(); ++slot) {
+      prepared[slot] = PreparedFor(scheme, misses[slot]->public_key);
+    }
     std::vector<bool> verdicts;
     if (pool != nullptr && pool->jobs() > 1 && misses.size() >= 2) {
       // Shard the misses into contiguous per-lane sub-batches. Each lane's
       // verification is independent; per-item verdicts do not depend on
-      // which sub-batch an item landed in.
+      // which sub-batch an item landed in, except for the small-order
+      // hostile items Ed25519VerifyBatch does not judge exactly.
       int lanes = std::min<int>(pool->jobs(), static_cast<int>(misses.size()));
       size_t per = (misses.size() + lanes - 1) / static_cast<size_t>(lanes);
       verdicts.resize(misses.size(), false);
@@ -221,8 +289,7 @@ std::vector<bool> VerifyCache::VerifyBatch(SignatureScheme scheme,
         if (lo >= hi) {
           return;
         }
-        std::vector<VerifyItem> sub(misses.begin() + lo, misses.begin() + hi);
-        shard[c] = VerifySignatureBatch(scheme, sub);
+        shard[c] = VerifyRange(scheme, misses, prepared.data(), lo, hi);
       });
       for (int c = 0; c < lanes; ++c) {
         size_t lo = static_cast<size_t>(c) * per;
@@ -231,7 +298,8 @@ std::vector<bool> VerifyCache::VerifyBatch(SignatureScheme scheme,
         }
       }
     } else {
-      verdicts = VerifySignatureBatch(scheme, misses);
+      verdicts =
+          VerifyRange(scheme, misses, prepared.data(), 0, misses.size());
     }
     for (size_t i : miss_idx) {
       out[i] = verdicts[miss_slot[i]];

@@ -13,12 +13,15 @@
 //     (SchemeSupportsBatchVerify — currently Ed25519 only);
 //   - VerifyCache deduplicates repeated verifications of the same
 //     (key, message, signature) triple, e.g. one master's version token
-//     attached to thousands of pledges.
+//     attached to thousands of pledges, and keeps the few long-lived
+//     Ed25519 keys it verifies against in prepared form.
 #ifndef SDR_SRC_CRYPTO_SIGNER_H_
 #define SDR_SRC_CRYPTO_SIGNER_H_
 
+#include <array>
 #include <cstdint>
 #include <list>
+#include <map>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -29,6 +32,7 @@
 namespace sdr {
 
 struct Ed25519ExpandedKey;
+struct Ed25519PreparedKey;
 class WorkerPool;
 
 enum class SignatureScheme : uint8_t {
@@ -94,6 +98,17 @@ std::vector<bool> VerifySignatureBatch(SignatureScheme scheme,
 // retried. Null-scheme verifications bypass the cache (a map lookup costs
 // more than the check itself).
 //
+// Every signature check that misses goes to the crypto, and for Ed25519
+// the cache also remembers the public keys it checked against, in a
+// second bounded LRU map (kPreparedKeyCapacity keys). A key's first
+// verification only records it; its second builds an Ed25519PreparedKey
+// (the point's split tables, about one verification's cost),
+// and every later one verifies against that. The signatures in this
+// protocol come from a handful of long-lived keys — masters, slaves, the
+// content key — so each role's checks soon all run on prepared keys, while
+// one-off keys pay nothing extra. Preparation changes cost only: verdicts
+// are those of VerifySignature, and the map never touches Stats.
+//
 // Not thread-safe, by design — each simulated node owns its cache.
 class VerifyCache {
  public:
@@ -102,6 +117,9 @@ class VerifyCache {
     uint64_t misses = 0;
     uint64_t evictions = 0;
   };
+
+  // Size of the prepared-key map; every role verifies under far fewer keys.
+  static constexpr size_t kPreparedKeyCapacity = 32;
 
   explicit VerifyCache(size_t capacity = 1024) : capacity_(capacity) {}
 
@@ -115,10 +133,14 @@ class VerifyCache {
   //
   // With a WorkerPool the pure-compute phases — cache-key hashing and the
   // miss verifications (sharded into per-lane sub-batches) — fan out across
-  // its lanes; cache lookups and inserts stay on the calling thread. The
-  // verdict vector is a function of the items alone, so it is byte-identical
-  // at any lane count (sub-batch boundaries cannot change per-item truth:
-  // batch verification reports exact per-item validity).
+  // its lanes; cache lookups and inserts, and the prepared-key map, stay on
+  // the calling thread. Lanes only read prepared keys, which the calling
+  // thread pins for the whole call, so evicting one mid-call cannot free a
+  // table a lane is using. Batch verification reports exact per-item
+  // validity, so sub-batch boundaries cannot change a verdict and the
+  // vector is byte-identical at any lane count — except for hostile items
+  // with a small-order R or key, which Ed25519VerifyBatch does not judge
+  // exactly (see ed25519.h): their verdicts can depend on the sub-batch.
   std::vector<bool> VerifyBatch(SignatureScheme scheme,
                                 const std::vector<VerifyItem>& items,
                                 WorkerPool* pool = nullptr);
@@ -126,6 +148,8 @@ class VerifyCache {
   const Stats& stats() const { return stats_; }
   size_t size() const { return map_.size(); }
   size_t capacity() const { return capacity_; }
+  // Keys currently held in prepared form.
+  size_t prepared_keys() const;
 
  private:
   // Key: SHA-256 over (scheme, public key, message, signature), so entries
@@ -139,11 +163,29 @@ class VerifyCache {
   const bool* Lookup(const Key& key);
   void Insert(const Key& key, bool verdict);
 
+  // Counts one more verification against `public_key` and returns its
+  // prepared form, building it on the second; nullptr before that, for a
+  // key that does not decode, and for schemes other than Ed25519.
+  std::shared_ptr<const Ed25519PreparedKey> PreparedFor(
+      SignatureScheme scheme, const Bytes& public_key);
+
   size_t capacity_;
   // Most-recently-used at the front.
   std::list<std::pair<Key, bool>> lru_;
   std::unordered_map<Key, std::list<std::pair<Key, bool>>::iterator> map_;
   Stats stats_;
+
+  // The prepared-key map, most-recently-used at the front. An entry seen
+  // once holds no key yet; `prepared` stays null after the second use only
+  // when the key does not decode.
+  using PublicKey = std::array<uint8_t, 32>;
+  struct KeyEntry {
+    PublicKey public_key;
+    bool seen_twice = false;
+    std::shared_ptr<const Ed25519PreparedKey> prepared;
+  };
+  std::list<KeyEntry> key_lru_;
+  std::map<PublicKey, std::list<KeyEntry>::iterator> key_index_;
 };
 
 }  // namespace sdr

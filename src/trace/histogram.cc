@@ -79,7 +79,10 @@ int64_t LatencyHistogram::Quantile(double q) const {
   for (size_t i = 0; i < buckets_.size(); ++i) {
     cumulative += buckets_[i];
     if (cumulative >= rank) {
-      return std::min(static_cast<int64_t>(BucketLowerBound(i)), max_);
+      // A bucket's lower bound can sit below every sample in it, so the
+      // result is clamped to the recorded range as well.
+      return std::clamp(static_cast<int64_t>(BucketLowerBound(i)), min_,
+                        max_);
     }
   }
   return max_;

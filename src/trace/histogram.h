@@ -41,7 +41,7 @@ class LatencyHistogram {
   }
 
   // Nearest-rank quantile, reported as the lower bound of the bucket the
-  // rank falls into (clamped to the recorded max). q in [0, 1].
+  // rank falls into, clamped to the recorded [min, max]. q in [0, 1].
   int64_t Quantile(double q) const;
   int64_t Median() const { return Quantile(0.5); }
   int64_t P99() const { return Quantile(0.99); }

@@ -7,14 +7,20 @@
 //     cluster with a live write stream, memo hits across finalized
 //     versions yield zero mismatches;
 //   - every simulated output — trace bytes and auditor metrics — is
-//     byte-identical at any --audit_jobs value, on calm and chaotic runs.
+//     byte-identical at any --audit_jobs value, on calm and chaotic runs;
+//   - batched signature admission over worker lanes reads prepared keys
+//     safely and gives the cache-less verdicts.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "src/chaos/runner.h"
 #include "src/core/cluster.h"
+#include "src/crypto/signer.h"
 #include "src/trace/export.h"
+#include "src/util/parallel.h"
+#include "src/util/rng.h"
 
 namespace sdr {
 namespace {
@@ -35,6 +41,45 @@ ClusterConfig EngineConfig(uint64_t seed) {
   config.client_write_fraction = 0.02;
   config.track_ground_truth = false;
   return config;
+}
+
+// The auditor's admission shape: runs of signatures under long-lived keys,
+// some forged, verified by VerifyCache::VerifyBatch over a pool. Worker
+// lanes verify their sub-batches against prepared keys the calling thread
+// pinned, so under ThreadSanitizer this covers concurrent reads of the
+// shared tables. There are two more keys than the prepared-key map holds
+// and each signs a run of three items, so every key is prepared within
+// its run and the first keys' tables are evicted from the map by the last
+// runs before the lanes read them.
+TEST(AuditEngineTest, PooledBatchVerifyReadsPinnedPreparedKeys) {
+  Rng rng(5);
+  std::vector<KeyPair> kps;
+  for (size_t k = 0; k < VerifyCache::kPreparedKeyCapacity + 2; ++k) {
+    kps.push_back(KeyPair::Generate(SignatureScheme::kEd25519, rng));
+  }
+  WorkerPool pool(4);
+  VerifyCache cache;
+  for (int round = 0; round < 2; ++round) {
+    std::vector<VerifyItem> items;
+    std::vector<bool> want;
+    for (size_t k = 0; k < kps.size(); ++k) {
+      for (int j = 0; j < 3; ++j) {
+        Bytes msg = ToBytes("pledge r" + std::to_string(round) + " k" +
+                            std::to_string(k) + " j" + std::to_string(j));
+        Bytes sig = Signer(kps[k]).Sign(msg);
+        if ((k + static_cast<size_t>(j)) % 7 == 3) {
+          sig[9] ^= 0x01;
+        }
+        want.push_back(VerifySignature(SignatureScheme::kEd25519,
+                                       kps[k].public_key, msg, sig));
+        items.push_back({kps[k].public_key, msg, sig});
+      }
+    }
+    EXPECT_EQ(cache.VerifyBatch(SignatureScheme::kEd25519, items, &pool),
+              want)
+        << "round " << round;
+  }
+  EXPECT_EQ(cache.prepared_keys(), VerifyCache::kPreparedKeyCapacity);
 }
 
 TEST(AuditEngineTest, ForgedPledgeBehindDedupedTwinIsCaught) {

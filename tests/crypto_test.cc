@@ -2,6 +2,8 @@
 // vectors (FIPS 180 / RFC 4231 / RFC 8032) plus property tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -363,6 +365,299 @@ TEST(Ed25519BatchTest, MatchesSingleVerifyOnNaivePath) {
   items[1].signature[7] ^= 2;
   std::vector<bool> ok = Ed25519VerifyBatch(items);
   EXPECT_EQ(ok, (std::vector<bool>{true, false, true}));
+}
+
+// ---------------------------------------------------------------------------
+// Prepared keys: the split-scalar chain must give exactly the verdicts of
+// the unprepared chain and of the naive reference ladders, on valid and on
+// hostile inputs alike.
+// ---------------------------------------------------------------------------
+
+// The eight small-order points, plus non-canonical encodings (y >= p) of
+// two of them.
+const char* const kSmallOrderEncodings[] = {
+    "0100000000000000000000000000000000000000000000000000000000000000",
+    "ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000080",
+    "26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc05",
+    "26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc85",
+    "c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac037a",
+    "c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac03fa",
+    "eeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+    "edffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+};
+
+// A 32-byte string that is not a valid point encoding.
+Bytes UndecodablePoint(Rng& rng) {
+  for (;;) {
+    Bytes b = rng.NextBytes(32);
+    if (Ed25519PrepareKey(b) == nullptr) {
+      return b;
+    }
+  }
+}
+
+// S + L: the same scalar mod L, but non-canonical (S + L < 2^256 always).
+Bytes AddOrderToS(const Bytes& sig) {
+  static const uint8_t kL[32] = {
+      0xed, 0xd3, 0xf5, 0x5c, 0x1a, 0x63, 0x12, 0x58, 0xd6, 0x9c, 0xf7,
+      0xa2, 0xde, 0xf9, 0xde, 0x14, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x10};
+  Bytes out = sig;
+  int carry = 0;
+  for (int i = 0; i < 32; ++i) {
+    int v = sig[32 + i] + kL[i] + carry;
+    out[32 + i] = static_cast<uint8_t>(v);
+    carry = v >> 8;
+  }
+  return out;
+}
+
+// Valid signatures from a few keys, and every kind of broken one.
+std::vector<Ed25519BatchItem> AdversarialItems(Rng& rng) {
+  std::vector<Ed25519BatchItem> items;
+  for (int k = 0; k < 3; ++k) {
+    Bytes seed = rng.NextBytes(kEd25519SeedSize);
+    Bytes pub = Ed25519PublicKey(seed);
+    for (int m = 0; m < 3; ++m) {
+      Bytes msg = rng.NextBytes(1 + rng.NextBounded(150));
+      Bytes sig = Ed25519Sign(seed, msg);
+      auto add = [&](const Bytes& p, const Bytes& mm, const Bytes& sg) {
+        items.push_back({p, mm, sg, nullptr});
+      };
+      add(pub, msg, sig);
+      for (int flip = 0; flip < 4; ++flip) {
+        Bytes bad = sig;
+        int bit = static_cast<int>(rng.NextBounded(256));
+        bad[bit / 8] ^= static_cast<uint8_t>(1 << (bit % 8));  // R
+        add(pub, msg, bad);
+        bad = sig;
+        bit = static_cast<int>(rng.NextBounded(253));
+        bad[32 + bit / 8] ^= static_cast<uint8_t>(1 << (bit % 8));  // S
+        add(pub, msg, bad);
+        Bytes bad_msg = msg;
+        bit = static_cast<int>(rng.NextBounded(8 * msg.size()));
+        bad_msg[bit / 8] ^= static_cast<uint8_t>(1 << (bit % 8));
+        add(pub, bad_msg, sig);
+        Bytes bad_pub = pub;
+        bit = static_cast<int>(rng.NextBounded(256));
+        bad_pub[bit / 8] ^= static_cast<uint8_t>(1 << (bit % 8));
+        add(bad_pub, msg, sig);
+      }
+      add(pub, msg, AddOrderToS(sig));
+      Bytes high_s = sig;
+      high_s[63] |= 0xe0;
+      add(pub, msg, high_s);
+      Bytes bad_r = sig;
+      Bytes undecodable = UndecodablePoint(rng);
+      std::copy(undecodable.begin(), undecodable.end(), bad_r.begin());
+      add(pub, msg, bad_r);
+      add(UndecodablePoint(rng), msg, sig);
+      for (const char* hex : kSmallOrderEncodings) {
+        Bytes small = HexDecode(hex);
+        Bytes small_r = sig;
+        std::copy(small.begin(), small.end(), small_r.begin());
+        add(pub, msg, small_r);
+      }
+    }
+  }
+  return items;
+}
+
+// Signatures under small-order keys. With S = 0 and a small-order R the
+// cofactorless equation [S]B - [k]A == R holds whenever [k]A == -R, so
+// some of these verify; every path must agree on which.
+std::vector<Ed25519BatchItem> SmallOrderKeyItems(Rng& rng) {
+  std::vector<Ed25519BatchItem> items;
+  for (const char* key_hex : kSmallOrderEncodings) {
+    for (const char* r_hex : {kSmallOrderEncodings[0], kSmallOrderEncodings[1],
+                              kSmallOrderEncodings[6]}) {
+      Bytes sig = HexDecode(r_hex);
+      sig.resize(kEd25519SignatureSize, 0);
+      items.push_back({HexDecode(key_hex), rng.NextBytes(16), sig, nullptr});
+    }
+  }
+  return items;
+}
+
+// Checks that prepared, unprepared and naive single verification agree on
+// every item and returns the verdicts; sets each item's prepared key.
+std::vector<bool> ExpectSinglePathsAgree(
+    std::vector<Ed25519BatchItem>& items,
+    std::vector<std::shared_ptr<const Ed25519PreparedKey>>& keys) {
+  std::vector<bool> naive(items.size());
+  {
+    FastPathGuard guard(false);
+    for (size_t i = 0; i < items.size(); ++i) {
+      naive[i] = Ed25519Verify(items[i].public_key, items[i].message,
+                               items[i].signature);
+    }
+  }
+  keys.assign(items.size(), nullptr);
+  for (size_t i = 0; i < items.size(); ++i) {
+    Ed25519BatchItem& it = items[i];
+    EXPECT_EQ(Ed25519Verify(it.public_key, it.message, it.signature),
+              naive[i])
+        << "item " << i;
+    keys[i] = Ed25519PrepareKey(it.public_key);
+    if (keys[i] == nullptr) {
+      EXPECT_FALSE(naive[i]) << "item " << i << ": undecodable key accepted";
+      continue;
+    }
+    EXPECT_EQ(Ed25519VerifyPrepared(*keys[i], it.message, it.signature),
+              naive[i])
+        << "item " << i;
+    {
+      FastPathGuard guard(false);
+      EXPECT_EQ(Ed25519VerifyPrepared(*keys[i], it.message, it.signature),
+                naive[i])
+          << "item " << i << " (naive path)";
+    }
+    it.prepared = keys[i].get();
+  }
+  return naive;
+}
+
+TEST(Ed25519PreparedTest, VerdictsMatchUnpreparedAndNaive) {
+  Rng rng(40);
+  std::vector<Ed25519BatchItem> items = AdversarialItems(rng);
+  std::vector<std::shared_ptr<const Ed25519PreparedKey>> keys;
+  const std::vector<bool> naive = ExpectSinglePathsAgree(items, keys);
+  // The set must exercise both verdicts and both key kinds.
+  const size_t accepted = std::count(naive.begin(), naive.end(), true);
+  const size_t prepared = items.size() - std::count(keys.begin(), keys.end(),
+                                                    nullptr);
+  EXPECT_EQ(accepted, 9u);
+  EXPECT_LT(prepared, items.size());
+
+  // Batched, with prepared keys, without, and on the naive path.
+  EXPECT_EQ(Ed25519VerifyBatch(items), naive);
+  {
+    FastPathGuard guard(false);
+    EXPECT_EQ(Ed25519VerifyBatch(items), naive);
+  }
+  for (Ed25519BatchItem& it : items) {
+    it.prepared = nullptr;
+  }
+  EXPECT_EQ(Ed25519VerifyBatch(items), naive);
+}
+
+TEST(Ed25519PreparedTest, SmallOrderKeysMatchUnpreparedAndNaive) {
+  Rng rng(44);
+  std::vector<Ed25519BatchItem> items = SmallOrderKeyItems(rng);
+  std::vector<std::shared_ptr<const Ed25519PreparedKey>> keys;
+  const std::vector<bool> naive = ExpectSinglePathsAgree(items, keys);
+  const size_t accepted = std::count(naive.begin(), naive.end(), true);
+  EXPECT_GT(accepted, 0u);
+  EXPECT_LT(accepted, items.size());
+
+  // Batched, prepared keys give the unprepared batch verdicts. (Batching
+  // is not exact for keys with a small-order component; see
+  // Ed25519VerifyBatch.)
+  std::vector<bool> batched = Ed25519VerifyBatch(items);
+  for (Ed25519BatchItem& it : items) {
+    it.prepared = nullptr;
+  }
+  EXPECT_EQ(Ed25519VerifyBatch(items), batched);
+}
+
+TEST(Ed25519PreparedTest, MixedBatchCulpritAtEveryPosition) {
+  Rng rng(41);
+  const size_t n = 9;
+  auto items = MakeBatch(n, rng);
+  std::vector<std::shared_ptr<const Ed25519PreparedKey>> keys(n);
+  for (size_t i = 0; i < n; i += 2) {
+    keys[i] = Ed25519PrepareKey(items[i].public_key);
+    items[i].prepared = keys[i].get();
+  }
+  EXPECT_EQ(Ed25519VerifyBatch(items), std::vector<bool>(n, true));
+  for (size_t culprit = 0; culprit < n; ++culprit) {
+    auto batch = items;
+    batch[culprit].signature[culprit % 64] ^= 0x08;
+    std::vector<bool> want(n, true);
+    want[culprit] = false;
+    EXPECT_EQ(Ed25519VerifyBatch(batch), want) << "culprit " << culprit;
+  }
+}
+
+// Batches under more keys than the prepared-key map holds, each key
+// signing a run of three fresh messages (one signature in five forged), so
+// within one VerifyBatch call a key is recorded, prepared and used, and
+// then evicted by a later key's run while its table is still pinned. Each
+// batch ends with a repeat of its first item, and every item is verified
+// once more singly. Verdicts must be the cache-less ones, and Stats must
+// count exactly the distinct triples as misses and the repeats as hits.
+TEST(VerifyCacheTest, PreparedKeyEvictionChangesNoVerdictOrStat) {
+  Rng rng(42);
+  std::vector<KeyPair> kps;
+  for (size_t k = 0; k < VerifyCache::kPreparedKeyCapacity + 2; ++k) {
+    kps.push_back(KeyPair::Generate(SignatureScheme::kEd25519, rng));
+  }
+  VerifyCache cache;
+  std::set<Bytes> distinct;
+  uint64_t lookups = 0;
+  for (int round = 0; round < 3; ++round) {
+    std::vector<VerifyItem> batch;
+    for (size_t k = 0; k < kps.size(); ++k) {
+      for (int j = 0; j < 3; ++j) {
+        Bytes msg = ToBytes("r" + std::to_string(round) + " k" +
+                            std::to_string(k) + " j" + std::to_string(j));
+        Bytes sig = Signer(kps[k]).Sign(msg);
+        if (rng.NextBounded(5) == 0) {
+          sig[rng.NextBounded(64)] ^= 0x01;
+        }
+        batch.push_back({kps[k].public_key, msg, sig});
+      }
+    }
+    batch.push_back(batch.front());
+    std::vector<bool> want;
+    for (const VerifyItem& it : batch) {
+      want.push_back(VerifySignature(SignatureScheme::kEd25519, it.public_key,
+                                     it.message, it.signature));
+      Bytes triple = it.public_key;
+      Append(triple, it.message);
+      Append(triple, it.signature);
+      distinct.insert(triple);
+    }
+    EXPECT_EQ(cache.VerifyBatch(SignatureScheme::kEd25519, batch), want)
+        << "round " << round;
+    for (size_t i = 0; i < batch.size(); ++i) {
+      EXPECT_EQ(cache.Verify(SignatureScheme::kEd25519, batch[i].public_key,
+                             batch[i].message, batch[i].signature),
+                want[i])
+          << "round " << round << " item " << i;
+    }
+    lookups += 2 * batch.size();
+  }
+  EXPECT_EQ(cache.stats().misses, distinct.size());
+  EXPECT_EQ(cache.stats().hits, lookups - distinct.size());
+  EXPECT_EQ(cache.stats().evictions, 0u);
+  EXPECT_EQ(cache.prepared_keys(), VerifyCache::kPreparedKeyCapacity);
+}
+
+TEST(VerifyCacheTest, KeyIsPreparedOnItsSecondVerification) {
+  Rng rng(43);
+  KeyPair kp = KeyPair::Generate(SignatureScheme::kEd25519, rng);
+  Signer signer(kp);
+  Bytes m1 = ToBytes("m1"), m2 = ToBytes("m2");
+  VerifyCache cache;
+  EXPECT_TRUE(cache.Verify(kp.scheme, kp.public_key, m1, signer.Sign(m1)));
+  EXPECT_EQ(cache.prepared_keys(), 0u);
+  // A cache hit does not reach the crypto and does not count as a use.
+  EXPECT_TRUE(cache.Verify(kp.scheme, kp.public_key, m1, signer.Sign(m1)));
+  EXPECT_EQ(cache.prepared_keys(), 0u);
+  EXPECT_TRUE(cache.Verify(kp.scheme, kp.public_key, m2, signer.Sign(m2)));
+  EXPECT_EQ(cache.prepared_keys(), 1u);
+
+  // Other schemes keep no prepared keys.
+  KeyPair hmac = KeyPair::Generate(SignatureScheme::kHmacSha256, rng);
+  Signer hmac_signer(hmac);
+  for (const Bytes& m : {m1, m2, ToBytes("m3")}) {
+    EXPECT_TRUE(cache.Verify(hmac.scheme, hmac.public_key, m,
+                             hmac_signer.Sign(m)));
+  }
+  EXPECT_EQ(cache.prepared_keys(), 1u);
 }
 
 TEST(VerifyCacheTest, HitMissAndNegativeCaching) {

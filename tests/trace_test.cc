@@ -78,6 +78,21 @@ TEST(Histogram, RecordAndQuantiles) {
             static_cast<double>(h.max()) * 0.96);
 }
 
+TEST(Histogram, QuantileNeverBelowSmallestSample) {
+  // Every sample is 3,000,000 us, whose bucket starts at 2,949,120: the
+  // bucket lower bound alone would put p50 below every recorded value.
+  LatencyHistogram h;
+  for (int i = 0; i < 58; ++i) {
+    h.Record(3000000);
+  }
+  ASSERT_EQ(LatencyHistogram::BucketLowerBound(
+                LatencyHistogram::BucketIndex(3000000)),
+            2949120u);
+  EXPECT_EQ(h.Median(), 3000000);
+  EXPECT_EQ(h.P99(), 3000000);
+  EXPECT_EQ(h.Quantile(0.0), 3000000);
+}
+
 TEST(Histogram, NegativeValuesClampToZero) {
   LatencyHistogram h;
   h.Record(-5);
