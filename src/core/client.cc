@@ -8,7 +8,16 @@
 namespace sdr {
 
 Client::Client(Options options)
-    : options_(std::move(options)), rng_(options_.rng_seed) {}
+    : options_(std::move(options)),
+      rng_(options_.rng_seed),
+      lanes_(std::max<uint32_t>(options_.num_shards, 1)) {
+  if (!FetchesPlacement()) {
+    // The implicit one-shard placement: the default (unbounded) map, its
+    // single master list filled in at every setup.
+    placement_.emplace();
+    placement_->shard_masters.resize(1);
+  }
+}
 
 void Client::Start() {
   rng_ = Rng(options_.rng_seed ^ (static_cast<uint64_t>(id()) << 32));
@@ -25,28 +34,6 @@ const Bytes* Client::MasterKey(NodeId master) const {
     }
   }
   return nullptr;
-}
-
-const std::optional<Certificate>& Client::LaneSlaveCert(uint32_t shard) const {
-  static const std::optional<Certificate> kNone;
-  if (!sharded()) {
-    return slave_cert_;
-  }
-  return shard < lanes_.size() ? lanes_[shard].slave_cert : kNone;
-}
-
-NodeId Client::LaneMaster(uint32_t shard) const {
-  if (!sharded()) {
-    return master_;
-  }
-  return shard < lanes_.size() ? lanes_[shard].master : kInvalidNode;
-}
-
-NodeId Client::LaneAuditor(uint32_t shard) const {
-  if (!sharded()) {
-    return auditor_;
-  }
-  return shard < lanes_.size() ? lanes_[shard].auditor : kInvalidNode;
 }
 
 // ---------------------------------------------------------------------------
@@ -91,7 +78,7 @@ void Client::HandleDirectoryReply(BytesView body) {
   }
   master_certs_ = std::move(verified);
 
-  if (sharded()) {
+  if (FetchesPlacement()) {
     // The directory only told us *who* the masters are; the signed
     // placement says which shard each serves. Fetch it (a placement-cache
     // miss — every op until the next re-setup plans from the cached copy).
@@ -103,25 +90,13 @@ void Client::HandleDirectoryReply(BytesView body) {
                 WithType(MsgType::kPlacementQuery, query.Encode()));
     return;
   }
-
-  // Pick a master; avoid the one that just went silent on us, if any.
-  std::vector<NodeId> candidates;
+  // One group: every certified master serves the one implicit shard.
+  std::vector<NodeId>& masters = placement_->shard_masters[0];
+  masters.clear();
   for (const Certificate& cert : master_certs_) {
-    if (cert.subject != master_ || master_certs_.size() == 1) {
-      candidates.push_back(cert.subject);
-    }
+    masters.push_back(cert.subject);
   }
-  if (candidates.empty()) {
-    candidates.push_back(master_certs_[0].subject);
-  }
-  master_ = candidates[rng_.NextBounded(candidates.size())];
-
-  phase_ = Phase::kAwaitHello;
-  setup_nonce_ = rng_.NextBytes(16);
-  ClientHello hello;
-  hello.client_nonce = setup_nonce_;
-  env()->Send(master_,
-              WithType(MsgType::kClientHello, hello.Encode()));
+  OpenLanes();
 }
 
 void Client::HandlePlacementReply(BytesView body) {
@@ -141,11 +116,14 @@ void Client::HandlePlacementReply(BytesView body) {
     return;
   }
   placement_ = msg->placement;
+  OpenLanes();
+}
 
-  // One lane per shard: pick a certified master for each, avoiding the
-  // lane's previous master (the one that may have just gone silent).
-  std::vector<Lane> lanes(options_.num_shards);
-  for (uint32_t s = 0; s < options_.num_shards; ++s) {
+void Client::OpenLanes() {
+  // Pick a certified master for each lane, avoiding the lane's previous
+  // master (the one that may have just gone silent), then greet them all.
+  std::vector<Lane> lanes(lanes_.size());
+  for (uint32_t s = 0; s < lanes.size(); ++s) {
     std::vector<NodeId> candidates;
     for (NodeId m : placement_->shard_masters[s]) {
       if (MasterKey(m) != nullptr) {
@@ -155,10 +133,9 @@ void Client::HandlePlacementReply(BytesView body) {
     if (candidates.empty()) {
       return;  // setup timeout will retry
     }
-    NodeId previous = s < lanes_.size() ? lanes_[s].master : kInvalidNode;
     std::vector<NodeId> fresh;
     for (NodeId m : candidates) {
-      if (m != previous || candidates.size() == 1) {
+      if (m != lanes_[s].master || candidates.size() == 1) {
         fresh.push_back(m);
       }
     }
@@ -167,6 +144,8 @@ void Client::HandlePlacementReply(BytesView body) {
     }
     lanes[s].master = fresh[rng_.NextBounded(fresh.size())];
     lanes[s].nonce = rng_.NextBytes(16);
+    lanes[s].slave_cert = lanes_[s].slave_cert;
+    lanes[s].auditor = lanes_[s].auditor;
   }
   lanes_ = std::move(lanes);
 
@@ -178,7 +157,10 @@ void Client::HandlePlacementReply(BytesView body) {
   }
 }
 
-void Client::HandleShardHelloReply(NodeId from, BytesView body) {
+void Client::HandleHelloReply(NodeId from, BytesView body) {
+  if (phase_ != Phase::kAwaitHello) {
+    return;
+  }
   Lane* lane = nullptr;
   for (Lane& l : lanes_) {
     if (l.master == from && !l.ready) {
@@ -199,6 +181,7 @@ void Client::HandleShardHelloReply(NodeId from, BytesView body) {
                        msg->SignedBody(lane->nonce), msg->signature)) {
     return;
   }
+  // The slave certificate must chain to the master that assigned it.
   if (msg->slave_cert.role != Role::kSlave ||
       !VerifyCertificate(options_.params.scheme, *master_key,
                          msg->slave_cert)) {
@@ -212,52 +195,6 @@ void Client::HandleShardHelloReply(NodeId from, BytesView body) {
       return;  // the other lanes' hellos are still in flight
     }
   }
-  phase_ = Phase::kReady;
-  env()->Cancel(setup_timeout_);
-  ++metrics_.setups_completed;
-  for (auto& [request_id, read] : reads_) {
-    if (!read.awaiting_double_check) {
-      SendRead(request_id);
-    }
-  }
-  for (auto& [request_id, write] : writes_) {
-    (void)write;
-    SendWrite(request_id);
-  }
-  if (options_.mode != LoadMode::kManual && metrics_.setups_completed == 1) {
-    ScheduleNextOp();
-  }
-}
-
-void Client::HandleHelloReply(NodeId from, BytesView body) {
-  if (phase_ != Phase::kAwaitHello) {
-    return;
-  }
-  if (sharded()) {
-    HandleShardHelloReply(from, body);
-    return;
-  }
-  if (from != master_) {
-    return;
-  }
-  auto msg = ClientHelloReply::Decode(body);
-  if (!msg.ok()) {
-    return;
-  }
-  const Bytes* master_key = MasterKey(master_);
-  if (master_key == nullptr ||
-      !VerifySignature(options_.params.scheme, *master_key,
-                       msg->SignedBody(setup_nonce_), msg->signature)) {
-    return;
-  }
-  // The slave certificate must chain to the master that assigned it.
-  if (msg->slave_cert.role != Role::kSlave ||
-      !VerifyCertificate(options_.params.scheme, *master_key,
-                         msg->slave_cert)) {
-    return;
-  }
-  slave_cert_ = msg->slave_cert;
-  auditor_ = msg->auditor;
   phase_ = Phase::kReady;
   env()->Cancel(setup_timeout_);
   ++metrics_.setups_completed;
@@ -279,17 +216,13 @@ void Client::HandleHelloReply(NodeId from, BytesView body) {
 
 void Client::HandleReassignment(NodeId from, BytesView body) {
   Lane* lane = nullptr;
-  if (sharded()) {
-    for (Lane& l : lanes_) {
-      if (l.master == from) {
-        lane = &l;
-        break;
-      }
+  for (Lane& l : lanes_) {
+    if (l.master == from) {
+      lane = &l;
+      break;
     }
-    if (lane == nullptr) {
-      return;
-    }
-  } else if (from != master_) {
+  }
+  if (lane == nullptr) {
     return;
   }
   auto msg = Reassignment::Decode(body);
@@ -304,16 +237,9 @@ void Client::HandleReassignment(NodeId from, BytesView body) {
                          msg->new_slave_cert)) {
     return;
   }
-  if (lane != nullptr) {
-    lane->slave_cert = msg->new_slave_cert;
-    if (msg->auditor != kInvalidNode) {
-      lane->auditor = msg->auditor;
-    }
-  } else {
-    slave_cert_ = msg->new_slave_cert;
-    if (msg->auditor != kInvalidNode) {
-      auditor_ = msg->auditor;  // the new slave may audit elsewhere
-    }
+  lane->slave_cert = msg->new_slave_cert;
+  if (msg->auditor != kInvalidNode) {
+    lane->auditor = msg->auditor;  // the new slave may audit elsewhere
   }
   ++metrics_.reassignments;
   if (TraceSink* t = env()->trace()) {
@@ -467,10 +393,18 @@ void Client::EmitForkEvidence(const ForkDetector::Conflict& conflict,
   if (on_evidence) {
     on_evidence(chain);
   }
-  // Sharded mode keeps no single "my master" — route the evidence to the
-  // (certified) master that signed the conflicting token, i.e. the one
-  // whose slave group the equivocator belongs to.
-  NodeId target = sharded() ? conflict.first.token.master : master_;
+  // Route the evidence to the current master of the lane whose placement
+  // lists the master that signed the conflicting token, i.e. the group
+  // the equivocator belongs to (with one group, this client's master).
+  NodeId target = kInvalidNode;
+  for (size_t s = 0; placement_ && s < placement_->shard_masters.size(); ++s) {
+    const std::vector<NodeId>& group = placement_->shard_masters[s];
+    if (std::find(group.begin(), group.end(), conflict.first.token.master) !=
+        group.end()) {
+      target = lanes_[s].master;
+      break;
+    }
+  }
   if (target == kInvalidNode) {
     return;
   }
@@ -495,39 +429,21 @@ void Client::MasterSuspect() {
 // ---------------------------------------------------------------------------
 
 void Client::IssueRead(Query query, ReadCallback cb) {
-  if (sharded()) {
-    IssueShardedRead(std::move(query), std::move(cb));
-    return;
-  }
-  uint64_t request_id = next_request_id_++;
-  PendingRead read;
-  read.query = std::move(query);
-  read.first_issued = env()->Now();
-  read.cb = std::move(cb);
-  read.trace_id = MintTraceId(id(), request_id);
-  if (TraceSink* t = env()->trace()) {
-    t->SpanBegin(TraceRole::kClient, id(), "read", read.trace_id);
-  }
-  reads_.emplace(request_id, std::move(read));
-  ++metrics_.reads_issued;
-  SendRead(request_id);
-}
-
-void Client::IssueShardedRead(Query query, ReadCallback cb) {
   if (!placement_.has_value()) {
     if (cb) {
       cb(false, QueryResult{});
     }
     return;
   }
-  ++metrics_.placement_cache_hits;
-  std::vector<ShardSubquery> plan = PlanShardQuery(placement_->map, query);
-  if (plan.size() == 1) {
-    // Single owning shard: a normal read, just routed down that lane.
+  if (!placement_->signature.empty()) {
+    ++metrics_.placement_cache_hits;  // only a fetched placement is cached
+  }
+  if (std::optional<uint32_t> shard = OwningShard(placement_->map, query)) {
+    // Single owning shard: a plain read down that lane.
     uint64_t request_id = next_request_id_++;
     PendingRead read;
-    read.query = std::move(plan[0].query);
-    read.shard = plan[0].shard;
+    read.query = std::move(query);
+    read.shard = *shard;
     read.first_issued = env()->Now();
     read.cb = std::move(cb);
     read.trace_id = MintTraceId(id(), request_id);
@@ -542,6 +458,7 @@ void Client::IssueShardedRead(Query query, ReadCallback cb) {
   // The query spans shards: fan one leg out per plan entry. Every leg runs
   // the full verification pipeline (hash, pledge + token signatures,
   // freshness, probabilistic double-check) before it counts.
+  std::vector<ShardSubquery> plan = PlanShardQuery(placement_->map, query);
   uint64_t parent_id = next_request_id_++;
   MultiRead multi;
   multi.query = std::move(query);
@@ -579,8 +496,7 @@ void Client::IssueShardedRead(Query query, ReadCallback cb) {
 
 void Client::SendRead(uint64_t request_id) {
   auto it = reads_.find(request_id);
-  if (it == reads_.end() ||
-      !LaneSlaveCert(it->second.shard).has_value()) {
+  if (it == reads_.end() || !lanes_[it->second.shard].slave_cert) {
     return;
   }
   PendingRead& read = it->second;
@@ -596,7 +512,7 @@ void Client::SendRead(uint64_t request_id) {
   msg.request_id = request_id;
   msg.trace_id = read.trace_id;
   msg.query = read.query;
-  env()->Send(LaneSlaveCert(read.shard)->subject,
+  env()->Send(lanes_[read.shard].slave_cert->subject,
               WithType(MsgType::kReadRequest, msg.Encode()));
   env()->Cancel(read.timeout);
   read.timeout =
@@ -623,12 +539,11 @@ void Client::HandleReadReply(NodeId from, BytesView body) {
   if (it == reads_.end() || it->second.awaiting_double_check) {
     return;
   }
-  const std::optional<Certificate>& lane_cert =
-      LaneSlaveCert(it->second.shard);
-  if (!lane_cert.has_value() || from != lane_cert->subject) {
+  PendingRead& read = it->second;
+  const Lane& lane = lanes_[read.shard];
+  if (!lane.slave_cert.has_value() || from != lane.slave_cert->subject) {
     return;  // stale reply from a slave we no longer trust/use
   }
-  PendingRead& read = it->second;
 
   TraceSink* t = env()->trace();
   if (!msg->ok) {
@@ -641,10 +556,15 @@ void Client::HandleReadReply(NodeId from, BytesView body) {
     return;
   }
 
+  // The paper's checks: result hash, pledge and token signatures (one
+  // batch through the verify cache; the token is usually a hit, since it
+  // only changes on keepalives), freshness against the client's bound.
   const Pledge& pledge = msg->pledge;
-
-  // 1. Result hash must match the pledge.
-  if (msg->result.Sha1Digest() != pledge.result_sha1) {
+  ReplyVerdict verdict = CheckPledgedReply(
+      options_.params.scheme, *lane.slave_cert,
+      MasterKey(pledge.token.master), msg->result, pledge, env()->Now(),
+      effective_max_latency(), &verify_cache_);
+  if (verdict == ReplyVerdict::kBadHash) {
     ++metrics_.reads_rejected_hash;
     if (t != nullptr) {
       t->Instant(TraceRole::kClient, id(), "read.reject_hash", read.trace_id);
@@ -652,16 +572,7 @@ void Client::HandleReadReply(NodeId from, BytesView body) {
     RetryRead(msg->request_id, 0);
     return;
   }
-  // 2/3. Pledge must be signed by the slave we were assigned and the
-  // version token by a certified master. The two checks run as one batch
-  // through the verify cache: the token is usually a cache hit (it only
-  // changes on keepalives), and for batch-capable schemes a cold pair
-  // shares one combined equation.
-  const Bytes* master_key = MasterKey(pledge.token.master);
-  if (pledge.slave != lane_cert->subject || master_key == nullptr ||
-      !VerifyPledgeAndToken(options_.params.scheme,
-                            lane_cert->subject_public_key, *master_key,
-                            pledge, &verify_cache_)) {
+  if (verdict == ReplyVerdict::kBadSignature) {
     ++metrics_.reads_rejected_bad_sig;
     if (t != nullptr) {
       t->Instant(TraceRole::kClient, id(), "read.reject_sig", read.trace_id);
@@ -675,7 +586,7 @@ void Client::HandleReadReply(NodeId from, BytesView body) {
   // these is simply ignored — the read itself already passed the paper's
   // checks, and a missing/bogus vector only deprives the slave of the
   // chance to prove consistency (suspicious, but not falsifiable alone).
-  // This runs *before* the freshness gate: a commitment is a signed fact
+  // This runs on stale replies too: a commitment is a signed fact
   // about the slave's chain whether or not the ride-along result is still
   // fresh enough to accept, and a slow-serving equivocator (split_serve)
   // must not be able to keep its commitments out of the detection pool by
@@ -684,20 +595,18 @@ void Client::HandleReadReply(NodeId from, BytesView body) {
       msg->vv->slave == pledge.slave &&
       msg->vv->content_version == pledge.token.content_version &&
       VerifyVersionVector(options_.params.scheme,
-                          lane_cert->subject_public_key, *msg->vv,
+                          lane.slave_cert->subject_public_key, *msg->vv,
                           &verify_cache_)) {
     AttestedVv avv;
     avv.vv = *msg->vv;
     avv.token = pledge.token;
-    avv.slave_cert = *lane_cert;
+    avv.slave_cert = *lane.slave_cert;
     ObserveVv(avv);
   }
 
-  NodeId lane_auditor = LaneAuditor(read.shard);
-  // 4. Freshness: reject results older than (the client's) max_latency.
-  if (!TokenIsFresh(pledge.token, env()->Now(), effective_max_latency())) {
+  if (verdict == ReplyVerdict::kStale) {
     if (options_.params.fork_check_enabled &&
-        options_.params.audit_enabled && lane_auditor != kInvalidNode) {
+        options_.params.audit_enabled && lane.auditor != kInvalidNode) {
       // The reply is too old to accept but its pledge and commitment are
       // signature-verified facts; forwarding them keeps the auditor's
       // cross-client chain reconciliation complete even when an
@@ -707,7 +616,7 @@ void Client::HandleReadReply(NodeId from, BytesView body) {
       submit.pledge = pledge;
       submit.vv = msg->vv;
       ++metrics_.pledges_forwarded;
-      env()->Send(lane_auditor,
+      env()->Send(lane.auditor,
                   WithType(MsgType::kAuditSubmit, submit.Encode()));
     }
     ++metrics_.reads_rejected_stale;
@@ -733,7 +642,7 @@ void Client::HandleReadReply(NodeId from, BytesView body) {
     dc.request_id = msg->request_id;
     dc.trace_id = read.trace_id;
     dc.pledge = pledge;
-    env()->Send(LaneMaster(read.shard),
+    env()->Send(lane.master,
                 WithType(MsgType::kDoubleCheckRequest, dc.Encode()));
     env()->Cancel(read.timeout);
     read.timeout = env()->ScheduleAfter(
@@ -755,7 +664,7 @@ void Client::HandleReadReply(NodeId from, BytesView body) {
   // No double-check: forward the pledge to the auditor, then accept
   // ("clients accept read results only after they have forwarded the
   // corresponding pledges to the auditor", Section 3.4).
-  if (options_.params.audit_enabled && lane_auditor != kInvalidNode) {
+  if (options_.params.audit_enabled && lane.auditor != kInvalidNode) {
     AuditSubmit submit;
     submit.trace_id = read.trace_id;
     submit.pledge = pledge;
@@ -767,7 +676,7 @@ void Client::HandleReadReply(NodeId from, BytesView body) {
     if (t != nullptr) {
       t->Instant(TraceRole::kClient, id(), "pledge.forward", read.trace_id);
     }
-    env()->Send(lane_auditor,
+    env()->Send(lane.auditor,
                 WithType(MsgType::kAuditSubmit, submit.Encode()));
   }
   AcceptRead(msg->request_id, msg->result, pledge);
@@ -980,32 +889,15 @@ void Client::FailMultiRead(uint64_t parent_id) {
 // ---------------------------------------------------------------------------
 
 void Client::IssueWrite(WriteBatch batch, WriteCallback cb) {
-  if (sharded()) {
-    IssueShardedWrite(std::move(batch), std::move(cb));
-    return;
-  }
-  uint64_t request_id = next_request_id_++;
-  PendingWrite write;
-  write.batch = std::move(batch);
-  write.first_issued = env()->Now();
-  write.cb = std::move(cb);
-  writes_.emplace(request_id, std::move(write));
-  ++metrics_.writes_issued;
-  if (TraceSink* t = env()->trace()) {
-    t->SpanBegin(TraceRole::kClient, id(), "write",
-                 MintTraceId(id(), request_id));
-  }
-  SendWrite(request_id);
-}
-
-void Client::IssueShardedWrite(WriteBatch batch, WriteCallback cb) {
   if (!placement_.has_value()) {
     if (cb) {
       cb(false, 0);
     }
     return;
   }
-  ++metrics_.placement_cache_hits;
+  if (!placement_->signature.empty()) {
+    ++metrics_.placement_cache_hits;  // only a fetched placement is cached
+  }
   // Split the batch by owning shard (preserving op order within a shard).
   std::map<uint32_t, WriteBatch> by_shard;
   for (WriteOp& op : batch) {
@@ -1067,7 +959,7 @@ void Client::SendWrite(uint64_t request_id) {
   WriteRequest msg;
   msg.request_id = request_id;
   msg.batch = write.batch;
-  env()->Send(LaneMaster(write.shard),
+  env()->Send(lanes_[write.shard].master,
               WithType(MsgType::kWriteRequest, msg.Encode()));
   env()->Cancel(write.timeout);
   write.timeout =

@@ -12,6 +12,11 @@
 // (immediate discovery, Section 3.5) and retries the read after the master
 // reassigns it to a new slave. A silent master triggers a fresh setup
 // (master crash, Section 3).
+//
+// The per-group state (chosen master, assigned slave, auditor) lives in a
+// lane, one per shard of the placement every operation is planned
+// against. The paper's single group is the one-lane case: an implicit
+// one-shard placement built locally, listing every certified master.
 #ifndef SDR_SRC_CORE_CLIENT_H_
 #define SDR_SRC_CORE_CLIENT_H_
 
@@ -67,10 +72,10 @@ class Client : public Node {
     std::vector<NodeId> peer_clients;
 
     // Keyspace sharding (src/core/shard.h). At 1 (or 0) the client runs
-    // the paper's single-group protocol bit-for-bit. Above 1 the setup
-    // phase additionally fetches the signed shard placement from the
-    // directory, opens one lane (master + assigned slave + auditor) per
-    // shard, and plans every operation against the cached placement map.
+    // the paper's single-group protocol over one lane and sends nothing
+    // more. Above 1 the setup phase first fetches the signed shard
+    // placement from the directory, then opens one lane per shard the same
+    // way, and every operation is planned against the cached placement.
     uint32_t num_shards = 1;
   };
 
@@ -104,9 +109,13 @@ class Client : public Node {
   std::function<void(const EvidenceChain&)> on_evidence;
 
   bool ready() const { return phase_ == Phase::kReady; }
-  NodeId master() const { return master_; }
-  NodeId assigned_slave() const { return slave_cert_ ? slave_cert_->subject
-                                                     : kInvalidNode; }
+  // Per-lane state; `shard` must be below the lane count (max(num_shards,
+  // 1)), and shard 0 is the classic client's only lane.
+  NodeId master(uint32_t shard = 0) const { return lanes_[shard].master; }
+  NodeId assigned_slave(uint32_t shard = 0) const {
+    const std::optional<Certificate>& cert = lanes_[shard].slave_cert;
+    return cert ? cert->subject : kInvalidNode;
+  }
   const ClientMetrics& metrics() const {
     metrics_.sig_cache_hits = verify_cache_.stats().hits;
     metrics_.sig_cache_misses = verify_cache_.stats().misses;
@@ -121,7 +130,7 @@ class Client : public Node {
   enum class Phase {
     kIdle,
     kAwaitDirectory,
-    kAwaitPlacement,  // sharded mode only: waiting for the placement map
+    kAwaitPlacement,  // waiting for the signed placement (num_shards > 1)
     kAwaitHello,
     kReady,
   };
@@ -134,8 +143,8 @@ class Client : public Node {
     ReadCallback cb;
     bool awaiting_double_check = false;
     uint64_t trace_id = 0;  // causal id spanning retries and double-checks
-    // Sharded mode: which lane serves this read, and — when it is one leg
-    // of a fanned-out multi-shard read — the parent id and leg index.
+    // Which lane serves this read, and — when it is one leg of a
+    // fanned-out multi-shard read — the parent id and leg index.
     uint32_t shard = 0;
     uint64_t parent = 0;  // 0 = standalone read
     uint32_t leg = 0;
@@ -150,8 +159,9 @@ class Client : public Node {
     uint64_t parent = 0;  // 0 = standalone write
   };
 
-  // One per shard in sharded mode: the paper's per-group client state
-  // (chosen master, assigned slave, auditor) replicated across lanes.
+  // One per placement shard: the paper's per-group client state (chosen
+  // master, assigned slave, auditor). A re-setup picks a new master but
+  // keeps the slave and auditor until that master's hello replaces them.
   struct Lane {
     NodeId master = kInvalidNode;
     std::optional<Certificate> slave_cert;
@@ -187,22 +197,14 @@ class Client : public Node {
   };
 
   // Setup phase.
+  bool FetchesPlacement() const { return options_.num_shards > 1; }
   void BeginSetup();
   void HandleDirectoryReply(BytesView body);
+  void HandlePlacementReply(BytesView body);
+  void OpenLanes();
   void HandleHelloReply(NodeId from, BytesView body);
   void HandleReassignment(NodeId from, BytesView body);
   void HandleBadReadNotice(BytesView body);
-
-  // Sharded setup: placement fetch and per-lane hello handshakes.
-  void HandlePlacementReply(BytesView body);
-  void HandleShardHelloReply(NodeId from, BytesView body);
-
-  bool sharded() const { return options_.num_shards > 1; }
-  // Lane-aware accessors; in single-shard mode they return the classic
-  // globals, so the paper's path is untouched.
-  const std::optional<Certificate>& LaneSlaveCert(uint32_t shard) const;
-  NodeId LaneMaster(uint32_t shard) const;
-  NodeId LaneAuditor(uint32_t shard) const;
 
   // Reads.
   void SendRead(uint64_t request_id);
@@ -213,8 +215,7 @@ class Client : public Node {
                   const Pledge& pledge);
   void FailRead(uint64_t request_id);
 
-  // Sharded reads: planning, fan-out, leg accounting.
-  void IssueShardedRead(Query query, ReadCallback cb);
+  // Multi-shard reads: leg accounting.
   void AcceptShardSubread(uint64_t request_id, const QueryResult& result,
                           const Pledge& pledge);
   void FailMultiRead(uint64_t parent_id);
@@ -222,9 +223,6 @@ class Client : public Node {
   // Writes.
   void SendWrite(uint64_t request_id);
   void HandleWriteReply(BytesView body);
-
-  // Sharded writes: per-shard batch splitting.
-  void IssueShardedWrite(WriteBatch batch, WriteCallback cb);
 
   // Load generation.
   void ScheduleNextOp();
@@ -249,17 +247,17 @@ class Client : public Node {
   Phase phase_ = Phase::kIdle;
 
   std::vector<Certificate> master_certs_;
-  NodeId master_ = kInvalidNode;
-  std::optional<Certificate> slave_cert_;
-  NodeId auditor_ = kInvalidNode;
-  Bytes setup_nonce_;
   EventId setup_timeout_ = 0;
   int setup_attempts_ = 0;
 
-  // Sharded mode: the verified placement (the client-side placement
-  // cache — every op planned from it is a cache hit; every directory
-  // fetch a miss) and one lane per shard.
+  // The placement operations are planned against. At num_shards <= 1 it is
+  // the implicit one-shard placement, present from construction, unsigned,
+  // and never sent or verified; setup lists every certified master in it.
+  // Above 1 it is the signed placement fetched from the directory (the
+  // client-side placement cache: every op planned from it is a cache hit,
+  // every fetch a miss), absent until the first fetch.
   std::optional<ShardPlacement> placement_;
+  // One lane per placement shard, index = shard.
   std::vector<Lane> lanes_;
 
   uint64_t next_request_id_ = 1;

@@ -215,4 +215,24 @@ bool VerifyPledgeAndToken(SignatureScheme scheme, const Bytes& slave_public_key,
   return ok[0] && ok[1];
 }
 
+ReplyVerdict CheckPledgedReply(SignatureScheme scheme,
+                               const Certificate& slave_cert,
+                               const Bytes* master_key,
+                               const QueryResult& result, const Pledge& pledge,
+                               SimTime now, SimTime max_latency,
+                               VerifyCache* cache) {
+  if (result.Sha1Digest() != pledge.result_sha1) {
+    return ReplyVerdict::kBadHash;
+  }
+  if (pledge.slave != slave_cert.subject || master_key == nullptr ||
+      !VerifyPledgeAndToken(scheme, slave_cert.subject_public_key, *master_key,
+                            pledge, cache)) {
+    return ReplyVerdict::kBadSignature;
+  }
+  if (!TokenIsFresh(pledge.token, now, max_latency)) {
+    return ReplyVerdict::kStale;
+  }
+  return ReplyVerdict::kOk;
+}
+
 }  // namespace sdr

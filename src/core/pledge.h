@@ -19,6 +19,7 @@
 #include "src/core/certificate.h"
 #include "src/crypto/signer.h"
 #include "src/runtime/env.h"
+#include "src/store/executor.h"
 #include "src/store/query.h"
 #include "src/util/bytes.h"
 #include "src/util/result.h"
@@ -87,6 +88,25 @@ bool VerifyPledgeSignature(SignatureScheme scheme,
 bool VerifyPledgeAndToken(SignatureScheme scheme, const Bytes& slave_public_key,
                           const Bytes& master_public_key, const Pledge& pledge,
                           VerifyCache* cache);
+
+// The paper's per-reply acceptance rule (Sections 3.2-3.3), shared by
+// every client that reads through a pledge. In order:
+//   1. `result` hashes to the pledged result_sha1, else kBadHash;
+//   2. the pledge names `slave_cert`'s subject and carries its signature,
+//      and the token carries the signature of `master_key` (null when the
+//      token's master is not certified), else kBadSignature — both
+//      signatures go through VerifyPledgeAndToken and `cache`;
+//   3. the token is no older than `max_latency` at `now`, else kStale.
+// A kStale reply has passed every signature check, so its signed facts
+// (the pledge, a fork-check commitment) may still be used.
+enum class ReplyVerdict { kOk, kBadHash, kBadSignature, kStale };
+
+ReplyVerdict CheckPledgedReply(SignatureScheme scheme,
+                               const Certificate& slave_cert,
+                               const Bytes* master_key,
+                               const QueryResult& result, const Pledge& pledge,
+                               SimTime now, SimTime max_latency,
+                               VerifyCache* cache);
 
 // Group-commit certificate (scale-out, beyond the paper): one master
 // signature covering a contiguous run of committed versions

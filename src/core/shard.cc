@@ -154,18 +154,25 @@ bool VerifyShardPlacement(SignatureScheme scheme,
                          placement.signature);
 }
 
-std::vector<ShardSubquery> PlanShardQuery(const ShardMap& map,
-                                          const Query& q) {
-  std::vector<ShardSubquery> plan;
+std::optional<uint32_t> OwningShard(const ShardMap& map, const Query& q) {
   if (q.kind == QueryKind::kGet) {
-    plan.push_back({map.ShardForKey(q.key), q});
-    return plan;
+    return map.ShardForKey(q.key);
   }
   auto [first, last] = map.ShardSpan(q.range_lo, q.range_hi);
   if (first == last) {
-    plan.push_back({first, q});
+    return first;
+  }
+  return std::nullopt;
+}
+
+std::vector<ShardSubquery> PlanShardQuery(const ShardMap& map,
+                                          const Query& q) {
+  std::vector<ShardSubquery> plan;
+  if (std::optional<uint32_t> owner = OwningShard(map, q)) {
+    plan.push_back({*owner, q});
     return plan;
   }
+  auto [first, last] = map.ShardSpan(q.range_lo, q.range_hi);
   for (uint32_t s = first; s <= last; ++s) {
     Query sub = q;
     if (s != first) {

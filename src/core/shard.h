@@ -20,6 +20,7 @@
 #define SDR_SRC_CORE_SHARD_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -103,6 +104,10 @@ struct ShardSubquery {
 
   bool operator==(const ShardSubquery&) const = default;
 };
+
+// The one shard owning all of `q` (its key, or its whole range), or
+// nullopt when `q` spans several shards and needs PlanShardQuery.
+std::optional<uint32_t> OwningShard(const ShardMap& map, const Query& q);
 
 // Plans `q` across the map. GET goes to the single owning shard; ranged
 // kinds are clipped to each shard they intersect. A plan of size one

@@ -62,6 +62,9 @@ void Sha1::ProcessBlock(const uint8_t* block) {
 }
 
 void Sha1::Update(const uint8_t* data, size_t len) {
+  if (len == 0) {
+    return;  // `data` may be null; memcpy must not see it
+  }
   total_len_ += len;
   if (buffer_len_ > 0) {
     size_t take = std::min(len, kBlockSize - buffer_len_);
@@ -87,12 +90,9 @@ void Sha1::Update(const uint8_t* data, size_t len) {
 
 Bytes Sha1::Final() {
   uint64_t bit_len = total_len_ * 8;
-  uint8_t pad = 0x80;
-  Update(&pad, 1);
-  uint8_t zero = 0;
-  while (buffer_len_ != 56) {
-    Update(&zero, 1);
-  }
+  // 0x80 then zeros up to 56 mod 64, in one Update.
+  uint8_t pad[kBlockSize] = {0x80};
+  Update(pad, (buffer_len_ < 56 ? 56 : 56 + kBlockSize) - buffer_len_);
   uint8_t len_bytes[8];
   for (int i = 0; i < 8; ++i) {
     len_bytes[i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));

@@ -191,6 +191,9 @@ void Sha256::ProcessBlock(const uint8_t* block) {
 }
 
 void Sha256::Update(const uint8_t* data, size_t len) {
+  if (len == 0) {
+    return;  // `data` may be null; memcpy must not see it
+  }
   total_len_ += len;
   if (buffer_len_ > 0) {
     size_t take = std::min(len, kBlockSize - buffer_len_);
@@ -216,12 +219,9 @@ void Sha256::Update(const uint8_t* data, size_t len) {
 
 Bytes Sha256::Final() {
   uint64_t bit_len = total_len_ * 8;
-  uint8_t pad = 0x80;
-  Update(&pad, 1);
-  uint8_t zero = 0;
-  while (buffer_len_ != 56) {
-    Update(&zero, 1);
-  }
+  // 0x80 then zeros up to 56 mod 64, in one Update.
+  uint8_t pad[kBlockSize] = {0x80};
+  Update(pad, (buffer_len_ < 56 ? 56 : 56 + kBlockSize) - buffer_len_);
   uint8_t len_bytes[8];
   for (int i = 0; i < 8; ++i) {
     len_bytes[i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
@@ -307,6 +307,9 @@ void Sha512::ProcessBlock(const uint8_t* block) {
 }
 
 void Sha512::Update(const uint8_t* data, size_t len) {
+  if (len == 0) {
+    return;  // `data` may be null; memcpy must not see it
+  }
   total_len_ += len;
   if (buffer_len_ > 0) {
     size_t take = std::min(len, kBlockSize - buffer_len_);
@@ -332,13 +335,10 @@ void Sha512::Update(const uint8_t* data, size_t len) {
 
 Bytes Sha512::Final() {
   uint64_t bit_len = total_len_ * 8;
-  uint8_t pad = 0x80;
-  Update(&pad, 1);
-  uint8_t zero = 0;
-  // Pad to 112 mod 128; the 16-byte length field's upper 8 bytes are zero.
-  while (buffer_len_ != 112) {
-    Update(&zero, 1);
-  }
+  // 0x80 then zeros up to 112 mod 128, in one Update; the 16-byte length
+  // field's upper 8 bytes are zero.
+  uint8_t pad[kBlockSize] = {0x80};
+  Update(pad, (buffer_len_ < 112 ? 112 : 112 + kBlockSize) - buffer_len_);
   uint8_t len_bytes[16] = {0};
   for (int i = 0; i < 8; ++i) {
     len_bytes[8 + i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));

@@ -160,13 +160,13 @@ void ClientFleet::HandleReadReply(NodeId from, BytesView body) {
   const Pledge& pledge = msg->pledge;
   const Certificate* cert = SlaveCert(shard, from);
   auto key = options_.master_keys.find(pledge.token.master);
-  if (cert == nullptr || key == options_.master_keys.end() ||
-      pledge.slave != from ||
-      msg->result.Sha1Digest() != pledge.result_sha1 ||
-      !VerifyPledgeAndToken(options_.params.scheme, cert->subject_public_key,
-                            key->second, pledge, &verify_cache_) ||
-      !TokenIsFresh(pledge.token, env()->Now(),
-                    options_.params.max_latency)) {
+  if (cert == nullptr ||
+      CheckPledgedReply(options_.params.scheme, *cert,
+                        key == options_.master_keys.end() ? nullptr
+                                                          : &key->second,
+                        msg->result, pledge, env()->Now(),
+                        options_.params.max_latency,
+                        &verify_cache_) != ReplyVerdict::kOk) {
     FailOp(op_id);
     return;
   }

@@ -6,6 +6,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/crypto/ed25519.h"
@@ -93,6 +94,85 @@ TEST(Sha512Test, DerivedRoundConstantsSpotCheck) {
   EXPECT_EQ(k[0], 0x428a2f98d728ae22ULL);
   EXPECT_EQ(k[1], 0x7137449123ef65cdULL);
   EXPECT_EQ(k[79], 0x6c44198c4a475817ULL);
+}
+
+// Feeds data[0, split), an empty chunk with a null pointer, the rest, and
+// another empty chunk. An Ed25519 signature over an empty message hands
+// the hash exactly such an empty chunk after a partial block.
+template <typename H>
+Bytes HashWithEmptyChunks(const Bytes& data, size_t split) {
+  H h;
+  h.Update(data.data(), split);
+  h.Update(nullptr, 0);
+  h.Update(data.data() + split, data.size() - split);
+  h.Update(nullptr, 0);
+  return h.Final();
+}
+
+// Splits straddling every padding boundary of both block sizes.
+constexpr size_t kHashSplits[] = {1, 55, 56, 63, 64, 111, 112, 127, 128};
+
+template <typename H>
+void ExpectSplitsMatchVectors(
+    const std::vector<std::pair<std::string, std::string>>& vectors,
+    const std::string& chained_a_hex) {
+  Bytes data = Rng(7).NextBytes(300);
+  for (size_t split : kHashSplits) {
+    EXPECT_EQ(HashWithEmptyChunks<H>(data, split), H::Hash(data)) << split;
+  }
+  for (const auto& [message, hex] : vectors) {
+    Bytes bytes = ToBytes(message);
+    EXPECT_EQ(HexEncode(HashWithEmptyChunks<H>(bytes, 0)), hex);
+    for (size_t split : kHashSplits) {
+      if (split <= bytes.size()) {
+        EXPECT_EQ(HexEncode(HashWithEmptyChunks<H>(bytes, split)), hex)
+            << split;
+      }
+    }
+  }
+  // Every message length 0..256 lands on each padding branch: the digest
+  // over the concatenated digests of "a" * n matches the reference value.
+  Bytes chained;
+  for (size_t n = 0; n <= 256; ++n) {
+    Bytes digest = H::Hash(std::string(n, 'a'));
+    chained.insert(chained.end(), digest.begin(), digest.end());
+  }
+  EXPECT_EQ(HexEncode(H::Hash(chained)), chained_a_hex);
+}
+
+TEST(Sha1Test, EmptyChunksAndSplitsMatchVectors) {
+  ExpectSplitsMatchVectors<Sha1>(
+      {{"", "da39a3ee5e6b4b0d3255bfef95601890afd80709"},
+       {"abc", "a9993e364706816aba3e25717850c26c9cd0d89d"},
+       {"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+        "84983e441c3bd26ebaae4aa1f95129e5e54670f1"}},
+      "b8b0693c5305b3dcd6b89ebcf3d77583df30c861");
+}
+
+TEST(Sha256Test, EmptyChunksAndSplitsMatchVectors) {
+  ExpectSplitsMatchVectors<Sha256>(
+      {{"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+       {"abc",
+        "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"},
+       {"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+        "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"}},
+      "f8cb1ba7990f24485f9a571a9f3abbf38b2e611e9b4566f5aa8b0c98ad6a65ac");
+}
+
+TEST(Sha512Test, EmptyChunksAndSplitsMatchVectors) {
+  ExpectSplitsMatchVectors<Sha512>(
+      {{"",
+        "cf83e1357eefb8bdf1542850d66d8007d620e4050b5715dc83f4a921d36ce9ce"
+        "47d0d13c5d85f2b0ff8318d2877eec2f63b931bd47417a81a538327af927da3e"},
+       {"abc",
+        "ddaf35a193617abacc417349ae20413112e6fa4e89a97ea20a9eeee64b55d39a"
+        "2192992a274fc1a836ba3c23a3feebbd454d4423643ce80e2a9ac94fa54ca49f"},
+       {"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmn"
+        "hijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
+        "8e959b75dae313da8cf4f72814fc143f8f7779c6eb9f7fa17299aeadb6889018"
+        "501d289e4900f7e4331b99dec4b5433ac7d329eeb6dd26545e96e55b874be909"}},
+      "ed1353a0438b89b75558cf245079f260b8fcf3885c8105a8fc8ef37dc4ab03b3"
+      "5d19c591d2a311be6a4ee992b8fcd52e50acef4736a9d2a5dad76096a4c970c8");
 }
 
 TEST(HmacTest, Rfc4231Vectors) {

@@ -158,6 +158,89 @@ TEST(PledgeTest, NonFrameability) {
                                      k.slave.public_key, forged));
 }
 
+// The shared per-reply acceptance rule: one verdict per failure class, and
+// signature work identical to calling VerifyPledgeAndToken directly.
+TEST(ReplyCheckTest, EachVerdictAndVerifyCacheStatsMatchDirectCall) {
+  Keys k;
+  Signer master(k.master);
+  Signer slave(k.slave);
+  KeyPair other_key = KeyPair::Generate(SignatureScheme::kEd25519, k.rng);
+  const SignatureScheme kScheme = SignatureScheme::kEd25519;
+  const SimTime kNow = 10 * kSecond;
+  const SimTime kMaxLatency = kSecond;
+  Certificate slave_cert =
+      IssueCertificate(master, 9, Role::kSlave, k.slave.public_key);
+  Certificate other_cert =
+      IssueCertificate(master, 10, Role::kSlave, other_key.public_key);
+
+  QueryResult result;
+  result.type = QueryResult::Type::kScalar;
+  result.scalar = 42;
+  Query query = Query::Aggregate(QueryKind::kCount);
+  VersionToken token =
+      MakeVersionToken(master, 2, 5, kNow - 100 * kMillisecond);
+  Pledge good = MakePledge(slave, 9, query, result.Sha1Digest(), token);
+
+  QueryResult tampered = result;
+  tampered.scalar = 43;
+  Pledge flipped_pledge_sig = good;
+  flipped_pledge_sig.signature[0] ^= 1;
+  VersionToken bad_token = token;
+  bad_token.signature[0] ^= 1;
+  Pledge flipped_token_sig =
+      MakePledge(slave, 9, query, result.Sha1Digest(), bad_token);
+  Pledge stale = MakePledge(
+      slave, 9, query, result.Sha1Digest(),
+      MakeVersionToken(master, 2, 4, kNow - kMaxLatency - kMillisecond));
+
+  struct Case {
+    const char* name;
+    const QueryResult* result;
+    const Pledge* pledge;
+    const Certificate* cert;
+    const Bytes* master_key;
+    ReplyVerdict want;
+    bool reaches_signatures;
+  };
+  const Case cases[] = {
+      {"tampered result", &tampered, &good, &slave_cert, &k.master.public_key,
+       ReplyVerdict::kBadHash, false},
+      {"wrong slave", &result, &good, &other_cert, &k.master.public_key,
+       ReplyVerdict::kBadSignature, false},
+      {"uncertified master", &result, &good, &slave_cert, nullptr,
+       ReplyVerdict::kBadSignature, false},
+      {"flipped pledge signature", &result, &flipped_pledge_sig, &slave_cert,
+       &k.master.public_key, ReplyVerdict::kBadSignature, true},
+      {"flipped token signature", &result, &flipped_token_sig, &slave_cert,
+       &k.master.public_key, ReplyVerdict::kBadSignature, true},
+      {"old token", &result, &stale, &slave_cert, &k.master.public_key,
+       ReplyVerdict::kStale, true},
+      {"good reply", &result, &good, &slave_cert, &k.master.public_key,
+       ReplyVerdict::kOk, true},
+      {"good reply again", &result, &good, &slave_cert, &k.master.public_key,
+       ReplyVerdict::kOk, true},
+  };
+  VerifyCache checked;
+  VerifyCache direct;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    EXPECT_EQ(CheckPledgedReply(kScheme, *c.cert, c.master_key, *c.result,
+                                *c.pledge, kNow, kMaxLatency, &checked),
+              c.want);
+    if (c.reaches_signatures) {
+      EXPECT_EQ(VerifyPledgeAndToken(kScheme, c.cert->subject_public_key,
+                                     *c.master_key, *c.pledge, &direct),
+                c.want != ReplyVerdict::kBadSignature);
+    }
+    // Failures before the signature step cost no verification at all.
+    EXPECT_EQ(checked.stats().hits, direct.stats().hits);
+    EXPECT_EQ(checked.stats().misses, direct.stats().misses);
+    EXPECT_EQ(checked.stats().evictions, direct.stats().evictions);
+  }
+  EXPECT_GT(checked.stats().hits, 0u);
+  EXPECT_GT(checked.stats().misses, 0u);
+}
+
 TEST(MessagesTest, TypedPayloadRoundTrips) {
   Keys k;
   Signer master(k.master);

@@ -1,16 +1,20 @@
 // Scale-out tests: shard-map construction and placement serialization,
 // rebalance determinism, group-commit pledge equivalence, multi-shard
-// multiread freshness-token merging, and the chaos invariants at
-// --shards=4.
+// multiread freshness-token merging, per-shard client lanes, and the chaos
+// invariants at --shards=4.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <random>
+#include <string>
+#include <vector>
 
 #include "src/chaos/runner.h"
 #include "src/core/cluster.h"
 #include "src/core/shard.h"
 #include "src/util/rng.h"
+#include "src/workload/workload.h"
 
 namespace sdr {
 namespace {
@@ -202,6 +206,96 @@ TEST(ShardedClusterTest, MultiShardReadMergesResultsAndFreshTokens) {
   ASSERT_GT(cm.merged_token_age_us.count(), 0u);
   EXPECT_LE(cm.merged_token_age_us.Quantile(1.0),
             static_cast<double>(config.params.max_latency));
+}
+
+// ---------------------------------------------------------------------------
+// Client lanes: one per shard, and the classic client is the one-lane case.
+// ---------------------------------------------------------------------------
+
+ClusterConfig LaneConfig(int num_shards) {
+  ClusterConfig config;
+  config.seed = 41;
+  config.num_shards = num_shards;
+  config.num_masters = 1;
+  config.slaves_per_master = 2;
+  config.num_clients = 2;
+  config.corpus.n_items = 80;
+  config.params.scheme = SignatureScheme::kHmacSha256;
+  config.client_mode = Client::LoadMode::kManual;
+  return config;
+}
+
+TEST(ClientLaneTest, LyingSlaveIsReplacedOnlyInItsOwnLane) {
+  ClusterConfig config = LaneConfig(4);
+  // Greedy clients double-check every read, so the first lie is caught.
+  config.tweak_client = [](int, Client::Options& options) {
+    options.greedy = true;
+  };
+  Cluster cluster(config);
+  cluster.RunFor(3 * kSecond);
+  Client& client = cluster.client(0);
+  ASSERT_TRUE(client.ready());
+  std::vector<NodeId> before;
+  for (uint32_t s = 0; s < 4; ++s) {
+    before.push_back(client.assigned_slave(s));
+    ASSERT_NE(before.back(), kInvalidNode) << s;
+  }
+
+  // The slave assigned to shard 2's lane lies on every read.
+  const uint32_t kLyingShard = 2;
+  for (int i = 0; i < cluster.num_slaves(); ++i) {
+    if (cluster.slave(i).id() == before[kLyingShard]) {
+      Slave::Behavior liar;
+      liar.lie_probability = 1.0;
+      cluster.slave(i).SetBehavior(liar);
+    }
+  }
+  std::string key;
+  for (size_t i = 0; i < 80 && key.empty(); ++i) {
+    for (const std::string& k : {ItemKey(i), PriceKey(i), StockKey(i)}) {
+      if (key.empty() && cluster.shard_map().ShardForKey(k) == kLyingShard) {
+        key = k;
+      }
+    }
+  }
+  ASSERT_FALSE(key.empty());
+
+  bool accepted = false;
+  client.IssueRead(Query::Get(key),
+                   [&](bool ok, const QueryResult&) { accepted = ok; });
+  cluster.RunFor(3 * kSecond);
+  EXPECT_TRUE(accepted);
+  EXPECT_GE(client.metrics().double_check_mismatches, 1u);
+  EXPECT_TRUE(cluster.ExcludedByAnyMaster(before[kLyingShard]));
+  EXPECT_GE(client.metrics().reassignments, 1u);
+  for (uint32_t s = 0; s < 4; ++s) {
+    if (s == kLyingShard) {
+      EXPECT_NE(client.assigned_slave(s), before[s]);
+      EXPECT_NE(client.assigned_slave(s), kInvalidNode);
+    } else {
+      EXPECT_EQ(client.assigned_slave(s), before[s]) << s;
+    }
+  }
+}
+
+TEST(ClientLaneTest, OneShardSetupFetchesNoPlacement) {
+  for (int shards : {1, 4}) {
+    SCOPED_TRACE("num_shards=" + std::to_string(shards));
+    Cluster cluster(LaneConfig(shards));
+    cluster.RunFor(3 * kSecond);
+    ASSERT_TRUE(cluster.client(0).ready());
+    ASSERT_TRUE(cluster.client(1).ready());
+    Cluster::Totals totals = cluster.ComputeTotals();
+    if (shards == 1) {
+      // The one-shard placement is implicit: nothing asks the directory.
+      EXPECT_EQ(cluster.directory().placement_lookups_served(), 0u);
+      EXPECT_EQ(totals.placement_cache_misses, 0u);
+    } else {
+      EXPECT_EQ(cluster.directory().placement_lookups_served(), 2u);
+      EXPECT_EQ(totals.placement_cache_misses, 2u);
+    }
+    EXPECT_EQ(cluster.client(0).metrics().setups_completed, 1u);
+  }
 }
 
 // ---------------------------------------------------------------------------
